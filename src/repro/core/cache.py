@@ -1,84 +1,170 @@
-"""Per-pair judgment bags.
+"""Per-pair judgment bags, stored as one columnar log.
 
 All human feedback is stored and reused (§5.3: "the results of comparisons
 are always *reusable*").  The cache keys bags by the unordered pair and
-normalizes the sign: the stored values are always ``v(o_a, o_b)`` with
-``a < b``, so both orientations of a pair share one bag.
+normalizes the sign: a bag reads as ``v(o_a, o_b)`` with ``a < b``, so
+both orientations of a pair share one bag.
 
-Bags grow by amortized-doubling into numpy buffers, keeping appends O(1)
-and reads zero-copy.
+Storage is columnar, so that folding racing rounds into the cache costs a
+fixed number of array passes however many pairs the rounds touched:
+
+* a **slot table** maps each canonical pair to a small integer slot id
+  (callers that write the same pairs every round — the racing pool —
+  resolve their slots once, with :meth:`JudgmentCache.slot_ids`).  A
+  service namespace frees empty slots after evictions
+  (:meth:`JudgmentCache._free_empty_slots`) and hands their ids to new
+  pairs, so from then on every write or bulk read that passes ids
+  checks them against the table's record of each slot's pair and looks
+  up whichever no longer match;
+* per-slot arrays hold each bag's running moments ``n``, ``Σv`` and
+  ``Σv²``, so :meth:`JudgmentCache.moments` answers in O(1), and the
+  bag's region of the log: where it starts and how many values it holds;
+* an append-only **value log** holds the judgments themselves.  Every
+  bag is the start of its region, in canonical orientation, so any read
+  is a slice and a bulk read is one gather.  A write fills the region's
+  free tail.  A bag that outgrows its region moves to a new region at
+  the end of the log: exactly its size for a new bag (most bags are
+  written once), a quarter more for a growing one, so moves cost O(1)
+  per value amortized and idle room stays under a quarter of a bag.
+  Abandoned regions are dead space, and the log is compacted once they
+  exceed a quarter of the live values.
+
+Writes only ever fill free space — a region's tail, or past the end of
+the log — so arrays handed out by :meth:`JudgmentCache.bag` stay valid
+and unchanged whatever is written, evicted or compacted later.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 
 import numpy as np
 
 __all__ = ["JudgmentCache"]
 
-
-@dataclass
-class _Bag:
-    """A growable array of canonical-orientation judgments.
-
-    Alongside the raw values the bag maintains running moments (``Σv`` and
-    ``Σv²``), so :meth:`JudgmentCache.moments` answers in O(1) instead of
-    re-reducing the whole bag — it is read per winner on every SPR
-    reference change and per pair when seeding the Thurstone order.
-    """
-
-    buffer: np.ndarray
-    size: int
-    s1: float = 0.0
-    s2: float = 0.0
-
-    @classmethod
-    def empty(cls, capacity: int = 32) -> "_Bag":
-        return cls(np.empty(capacity, dtype=np.float64), 0)
-
-    def append(self, values: np.ndarray) -> None:
-        self.extend_raw(values, float(values.sum()), float(np.square(values).sum()))
-
-    def extend_raw(self, values: np.ndarray, s1_delta: float, s2_delta: float) -> None:
-        """Append ``values`` with their moment deltas already reduced.
-
-        The batched apply path computes ``Σv`` / ``Σv²`` for many bags in
-        grouped array passes (see :meth:`JudgmentCache.append_rows`);
-        ``extend_raw`` lets it hand those in instead of re-reducing per
-        bag.  Callers must supply deltas bit-identical to
-        ``values.sum()`` / ``np.square(values).sum()``.
-        """
-        needed = self.size + len(values)
-        if needed > len(self.buffer):
-            capacity = max(needed, 2 * len(self.buffer))
-            grown = np.empty(capacity, dtype=np.float64)
-            grown[: self.size] = self.buffer[: self.size]
-            self.buffer = grown
-        self.buffer[self.size : needed] = values
-        self.size = needed
-        self.s1 += float(s1_delta)
-        self.s2 += float(s2_delta)
-
-    def view(self) -> np.ndarray:
-        return self.buffer[: self.size]
-
-
 #: Shared zero-length bag returned for cache misses in bulk lookups.
 _EMPTY_BAG = np.empty(0, dtype=np.float64)
+_NO_SLOTS = np.empty(0, dtype=np.int64)
+
+#: The per-slot arrays: running moments, where the bag's region starts in
+#: the log and how many values it can hold, its rank in first-write order,
+#: and the slot's canonical pair.
+_SLOT_ARRAYS = ("_n", "_s1", "_s2", "_start", "_cap", "_born", "_lo", "_hi")
+
+
+def _grown(array: np.ndarray, needed: int) -> np.ndarray:
+    """``array`` with room for ``needed`` entries (amortized doubling)."""
+    if needed <= array.shape[0]:
+        return array
+    out = np.zeros(max(needed, 2 * array.shape[0]), dtype=array.dtype)
+    out[: array.shape[0]] = array
+    return out
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Exclusive running sum: where each of ``lengths`` begins."""
+    out = np.empty(lengths.size, dtype=np.int64)
+    if lengths.size:
+        out[0] = 0
+        np.cumsum(lengths[:-1], out=out[1:])
+    return out
+
+
+def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``."""
+    ends = lengths.cumsum()
+    return np.repeat(starts + lengths - ends, lengths) + np.arange(
+        ends[-1] if ends.size else 0, dtype=np.int64
+    )
+
+
+class _BagView:
+    """One pair's bag as an inspection handle: ``size``, the running
+    ``s1``/``s2`` (settable, for audits that corrupt them on purpose) and
+    ``view()``."""
+
+    __slots__ = ("_cache", "_slot")
+
+    def __init__(self, cache: "JudgmentCache", slot: int) -> None:
+        self._cache = cache
+        self._slot = slot
+
+    @property
+    def size(self) -> int:
+        return int(self._cache._n[self._slot])
+
+    @property
+    def s1(self) -> float:
+        return float(self._cache._s1[self._slot])
+
+    @s1.setter
+    def s1(self, value: float) -> None:
+        self._cache._s1[self._slot] = value
+
+    @property
+    def s2(self) -> float:
+        return float(self._cache._s2[self._slot])
+
+    @s2.setter
+    def s2(self, value: float) -> None:
+        self._cache._s2[self._slot] = value
+
+    def view(self) -> np.ndarray:
+        start = int(self._cache._start[self._slot])
+        return self._cache._log[start : start + self.size]
+
+
+class _BagMap(Mapping):
+    """Read-only ``canonical pair -> bag`` mapping, in first-write order."""
+
+    def __init__(self, cache: "JudgmentCache") -> None:
+        self._cache = cache
+
+    def __getitem__(self, key: tuple[int, int]) -> _BagView:
+        cache = self._cache
+        cache.settle()
+        slot = cache._slot_of.get(key)
+        if slot is None or not cache._n[slot]:
+            raise KeyError(key)
+        return _BagView(cache, slot)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._cache.pairs())
+
+    def __len__(self) -> int:
+        return self._cache.pair_count
 
 
 class JudgmentCache:
     """Symmetric store of all judgments collected for each item pair."""
 
     def __init__(self) -> None:
-        self._bags: dict[tuple[int, int], _Bag] = {}
-        self._total = 0
-        # Batches queued by :meth:`defer_rows`, applied in arrival order by
+        # Slot table: canonical pair -> slot id, for ids below _used (the
+        # reverse map is _lo/_hi).  clear() keeps it; _free_empty_slots
+        # frees ids for reuse, lowest first.
+        self._slot_of: dict[tuple[int, int], int] = {}
+        self._used = 0
+        self._free: list[int] = []
+        self._recycled = False  # set once an id is freed: ids may be stale
+        self._n = np.zeros(64, dtype=np.int64)
+        self._s1 = np.zeros(64, dtype=np.float64)
+        self._s2 = np.zeros(64, dtype=np.float64)
+        self._start = np.zeros(64, dtype=np.int64)
+        self._cap = np.zeros(64, dtype=np.int64)
+        self._born = np.zeros(64, dtype=np.int64)
+        self._lo = np.zeros(64, dtype=np.int64)
+        self._hi = np.zeros(64, dtype=np.int64)
+        # Batches queued by :meth:`defer_rows`, folded in arrival order by
         # :meth:`_drain` before any read or direct write touches the bags.
-        self._pending: list[
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = []
+        self._pending: list[tuple] = []
+        self._reset_log()
+
+    def _reset_log(self) -> None:
+        self._log = np.empty(1024, dtype=np.float64)
+        self._log_size = 0
+        self._dead = 0  # log values in regions no bag owns any more
+        self._total = 0
+        self._births = 0  # ranks handed out in first-write order
 
     @staticmethod
     def _key(i: int, j: int) -> tuple[tuple[int, int], float]:
@@ -88,13 +174,104 @@ class JudgmentCache:
             raise ValueError(f"cannot compare item {i} with itself")
         return ((i, j), 1.0) if i < j else ((j, i), -1.0)
 
+    # ------------------------------------------------------------------
+    # slot table
+    # ------------------------------------------------------------------
+    def slot_ids(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """Slot ids of the pairs ``(lefts[r], rights[r])``, creating any
+        that are new.  Both orientations of a pair share one slot.
+
+        A caller that writes the same pairs repeatedly resolves them once
+        and passes the ids to :meth:`defer_rows` / :meth:`padded_bags`.
+        Ids that go stale (see :meth:`_free_empty_slots`) are detected
+        and looked up again there, so passing them is always safe.
+        """
+        slot_of = self._slot_of
+        free = self._free
+        used = self._used
+        out = []
+        new = []
+        try:
+            for i, j in zip(
+                np.asarray(lefts).tolist(), np.asarray(rights).tolist()
+            ):
+                key = (i, j) if i < j else (j, i)
+                slot = slot_of.get(key)
+                if slot is None:
+                    if i == j:
+                        raise ValueError(f"cannot compare item {i} with itself")
+                    if free:
+                        slot = free.pop()
+                    else:
+                        slot = used
+                        used += 1
+                    slot_of[key] = slot
+                    new.append((slot, *key))
+                out.append(slot)
+        finally:
+            if new:
+                if used > self._n.shape[0]:
+                    for name in _SLOT_ARRAYS:
+                        setattr(self, name, _grown(getattr(self, name), used))
+                self._used = used
+                slots, self._lo[slots], self._hi[slots] = np.asarray(
+                    new, dtype=np.int64
+                ).T
+        return np.asarray(out, dtype=np.int64)
+
+    def _find_slots(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """Existing slot ids of the pairs, ``-1`` where a pair has none."""
+        get = self._slot_of.get
+        return np.asarray(
+            [
+                get((i, j) if i < j else (j, i), -1)
+                for i, j in zip(lefts.tolist(), rights.tolist())
+            ],
+            dtype=np.int64,
+        )
+
+    def _checked_slots(
+        self,
+        lefts: np.ndarray,
+        rights: np.ndarray,
+        slots: np.ndarray,
+        *,
+        create: bool,
+    ) -> np.ndarray:
+        """``slots`` with every entry that does not name its pair looked
+        up again: ``-1``, and ids gone stale since the caller resolved
+        them.  ``create`` makes slots for new pairs; otherwise they read
+        ``-1``."""
+        valid = slots >= 0
+        if self._recycled:  # before that, every id handed out is valid
+            valid &= slots < self._used
+            probe = np.where(valid, slots, 0)
+            valid &= self._lo[probe] == np.minimum(lefts, rights)
+            valid &= self._hi[probe] == np.maximum(lefts, rights)
+        if valid.all():
+            return slots
+        stale = np.flatnonzero(~valid)
+        lookup = self.slot_ids if create else self._find_slots
+        slots = slots.copy()
+        slots[stale] = lookup(lefts[stale], rights[stale])
+        return slots
+
+    def _sizes(self, slots: np.ndarray) -> np.ndarray:
+        """Bag sizes of ``slots`` (0 for the ``-1`` of an unknown pair)."""
+        sizes = self._n[slots]
+        sizes[slots < 0] = 0
+        return sizes
+
+    # ------------------------------------------------------------------
+    # reads
+    # ------------------------------------------------------------------
     def count(self, i: int, j: int) -> int:
         """Number of judgments stored for the pair ``{i, j}``."""
         if self._pending:
             self._drain()
         key, _ = self._key(i, j)
-        bag = self._bags.get(key)
-        return bag.size if bag is not None else 0
+        slot = self._slot_of.get(key)
+        return int(self._n[slot]) if slot is not None else 0
 
     def bag(self, i: int, j: int) -> np.ndarray:
         """All stored judgments oriented as ``v(o_i, o_j)`` (copy-free when
@@ -102,10 +279,11 @@ class JudgmentCache:
         if self._pending:
             self._drain()
         key, sign = self._key(i, j)
-        bag = self._bags.get(key)
-        if bag is None:
+        slot = self._slot_of.get(key)
+        if slot is None:
             return np.empty(0, dtype=np.float64)
-        values = bag.view()
+        start = int(self._start[slot])
+        values = self._log[start : start + int(self._n[slot])]
         return values if sign > 0 else -values
 
     def bags_for(
@@ -114,234 +292,79 @@ class JudgmentCache:
         """Oriented judgment views for many pairs in one pass.
 
         Equivalent to ``[self.bag(i, j) for i, j in zip(lefts, rights)]``
-        but pays the drain guard and key canonicalisation once instead of
-        per pair — this is what keeps racing-pool construction cheap when
-        an experiment builds hundreds of pools against a warm cache.
-
-        Trusted internal path: no self-pairs (the pool validated its
-        pairs); misses share one module-level empty array.
+        but pays the drain guard once.  Trusted internal path: no
+        self-pairs; misses share one module-level empty array.
         """
         if self._pending:
             self._drain()
-        bags = self._bags
+        lefts = np.asarray(lefts)
+        rights = np.asarray(rights)
+        slots = self._find_slots(lefts, rights)
+        log = self._log
         out: list[np.ndarray] = []
-        for i, j in zip(lefts.tolist(), rights.tolist()):
-            bag = bags.get((i, j) if i < j else (j, i))
-            if bag is None:
+        for start, size, flip in zip(
+            self._start[slots].tolist(),
+            self._sizes(slots).tolist(),
+            (lefts > rights).tolist(),
+        ):
+            if not size:
                 out.append(_EMPTY_BAG)
-            elif i < j:
-                out.append(bag.buffer[: bag.size])
             else:
-                out.append(-bag.buffer[: bag.size])
+                values = log[start : start + size]
+                out.append(-values if flip else values)
         return out
 
-    def append(self, i: int, j: int, values: np.ndarray) -> None:
-        """Store new judgments expressed in the ``v(o_i, o_j)`` orientation."""
-        if self._pending:
-            self._drain()
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return
-        key, sign = self._key(i, j)
-        bag = self._bags.get(key)
-        if bag is None:
-            bag = _Bag.empty(max(32, len(values)))
-            self._bags[key] = bag
-        bag.append(values if sign > 0 else -values)
-        self._total += len(values)
-
-    def append_rows(
+    def padded_bags(
         self,
         lefts: np.ndarray,
         rights: np.ndarray,
-        values: np.ndarray,
-        counts: np.ndarray,
-    ) -> None:
-        """Store one padded matrix of judgments across many pairs at once.
+        limit: int,
+        *,
+        slots: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``limit`` judgments of many pairs as one padded matrix.
 
-        Row ``r`` contributes ``values[r, :counts[r]]`` to the bag of
-        ``(lefts[r], rights[r])`` — exactly equivalent to calling
-        :meth:`append` per row in row order, but the per-bag moments
-        (``Σv``, ``Σv²``) are reduced in grouped array passes instead of
-        one reduction per pair.  Rows are grouped by their consumed count
-        so every row's sum runs over the *same slice shape* numpy's
-        pairwise summation would see in the per-row call — the batched
-        moments are bit-identical, not merely close (pinned by
-        tests/test_cache.py and the apply-parity golden).
+        Returns ``(lengths, values)``: ``lengths[r]`` is how many
+        judgments pair ``r`` has (at most ``limit``), and ``values`` holds
+        one zero-padded row per pair with ``lengths[r] > 0``, in pair
+        order, each oriented as ``v(o_left, o_right)``.  ``slots`` (from
+        :meth:`slot_ids`) skips the per-pair key lookup.  This is the
+        racing pool's cache replay: one gather from the log.
         """
         if self._pending:
             self._drain()
-        counts_list = (
-            counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
-        )
-        rows = len(counts_list)
-        if rows == 0:
-            return
-        values = np.asarray(values, dtype=np.float64)
-        if rows <= 8:
-            # Typical late rounds race a handful of survivors; per-row
-            # scalar reductions (exactly :meth:`_Bag.append`'s math) beat
-            # the batch machinery's fixed dispatch cost there.
-            s1_list = s2_list = None
-        else:
-            squares = np.square(values)
-            first = counts_list[0]
-            if all(count == first for count in counts_list):
-                # The common wide round: every pair consumed the full
-                # step, so one sliced reduction covers all rows with no
-                # gather copies.
-                if first == 0:
-                    return
-                s1 = np.sum(values[:, :first], axis=1)
-                s2 = np.sum(squares[:, :first], axis=1)
-            else:
-                counts = np.asarray(counts_list, dtype=np.int64)
-                s1 = np.zeros(rows, dtype=np.float64)
-                s2 = np.zeros(rows, dtype=np.float64)
-                for width in np.unique(counts):
-                    if width == 0:
-                        continue
-                    group = np.flatnonzero(counts == width)
-                    s1[group] = np.sum(values[group, :width], axis=1)
-                    s2[group] = np.sum(squares[group, :width], axis=1)
-            s1_list, s2_list = s1.tolist(), s2.tolist()
+        lefts = np.asarray(lefts)
+        rights = np.asarray(rights)
+        slots = self._read_slots(lefts, rights, slots)
+        return self._padded(slots, lefts > rights, limit)
 
-        bags = self._bags
-        total = 0
-        for row, (i, j, width) in enumerate(
-            zip(lefts.tolist(), rights.tolist(), counts_list)
-        ):
-            if width == 0:
-                continue
-            if i == j:
-                raise ValueError(f"cannot compare item {i} with itself")
-            key, flip = ((i, j), False) if i < j else ((j, i), True)
-            bag = bags.get(key)
-            if bag is None:
-                bag = _Bag.empty(max(32, width))
-                bags[key] = bag
-            chunk = values[row, :width]
-            if s1_list is None:
-                row_s1 = float(chunk.sum())
-                row_s2 = float(np.square(chunk).sum())
-            else:
-                row_s1 = s1_list[row]
-                row_s2 = s2_list[row]
-            if flip:
-                # Negation is exact, and -Σv == Σ(-v) bit for bit.
-                bag.extend_raw(-chunk, -row_s1, row_s2)
-            else:
-                bag.extend_raw(chunk, row_s1, row_s2)
-            total += width
-        self._total += total
+    def _read_slots(
+        self, lefts: np.ndarray, rights: np.ndarray, slots: np.ndarray | None
+    ) -> np.ndarray:
+        """The slot of each pair for a bulk read, ``-1`` where it has none."""
+        if slots is None:
+            return self._find_slots(lefts, rights)
+        return self._checked_slots(lefts, rights, slots, create=False)
 
-    def defer_rows(
-        self,
-        lefts: np.ndarray,
-        rights: np.ndarray,
-        values: np.ndarray,
-        counts: np.ndarray,
-    ) -> None:
-        """Queue one :meth:`append_rows`-shaped batch for a later bulk apply.
-
-        The racing pool's per-round commit hands its consumed draws here:
-        the round pays one list append, and the accumulated batches are
-        folded into the bags the moment anything next looks at the cache
-        (every read and direct-write entry point drains first, so no
-        caller can observe a stale bag).  Deferral only moves the work in
-        time — batches are applied in arrival order with per-chunk moment
-        deltas bit-identical to an immediate :meth:`append` per row.
-
-        Trusted internal path: rows are assumed well-formed (float64
-        matrix, ``counts[r] <= values.shape[1]``, no self-pairs — the
-        pool validated its pairs at construction).
-        """
-        self._pending.append((lefts, rights, values, counts))
-
-    def settle(self) -> None:
-        """Fold every deferred batch into the bags right now.
-
-        Reads drain automatically; this is for callers about to bypass
-        the public read API (serializers, tests poking at internals).
-        """
-        if self._pending:
-            self._drain()
-
-    def _drain(self) -> None:
-        """Apply the deferred batches in arrival order.
-
-        The moment deltas of every row across *all* batches are reduced
-        first, grouped by consumed width so each stacked ``np.sum`` sees
-        the same reduction length the per-row call would — bit-identical
-        sums, a few array passes total.  The bag commits then replay
-        chronologically with operator-only index arithmetic (the loop body
-        is :meth:`_Bag.extend_raw` inlined), so bag contents, sizes and
-        running moments match an eager row-by-row append exactly.
-        """
-        pending = self._pending
-        self._pending = []
-        jobs: list[tuple[int, int, int, np.ndarray]] = []
-        by_width: dict[int, list[int]] = {}
-        for lefts, rights, values, counts in pending:
-            lefts_list = lefts.tolist()
-            rights_list = rights.tolist()
-            for row, width in enumerate(counts.tolist()):
-                if width == 0:
-                    continue
-                group = by_width.get(width)
-                if group is None:
-                    group = by_width[width] = []
-                group.append(len(jobs))
-                jobs.append((lefts_list[row], rights_list[row], width, values[row]))
-        if not jobs:
-            return
-        s1_of = [0.0] * len(jobs)
-        s2_of = [0.0] * len(jobs)
-        for width, members in by_width.items():
-            block = np.stack([jobs[pos][3][:width] for pos in members])
-            s1 = np.sum(block, axis=1)
-            s2 = np.sum(np.square(block), axis=1)
-            for pos, s1_val, s2_val in zip(members, s1.tolist(), s2.tolist()):
-                s1_of[pos] = s1_val
-                s2_of[pos] = s2_val
-
-        bags = self._bags
-        total = 0
-        for pos, (i, j, width, row) in enumerate(jobs):
-            if i == j:
-                raise ValueError(f"cannot compare item {i} with itself")
-            if i < j:
-                key = (i, j)
-                flip = False
-            else:
-                key = (j, i)
-                flip = True
-            bag = bags[key] if key in bags else None
-            if bag is None:
-                bag = _Bag.empty(32 if width < 32 else width)
-                bags[key] = bag
-            chunk = row[:width]
-            size = bag.size
-            needed = size + width
-            buffer = bag.buffer
-            if needed > buffer.shape[0]:
-                doubled = 2 * buffer.shape[0]
-                grown = np.empty(
-                    needed if needed > doubled else doubled, dtype=np.float64
-                )
-                grown[:size] = buffer[:size]
-                bag.buffer = buffer = grown
-            if flip:
-                # Negation is exact, and a -= x is a += (-x) bit for bit.
-                buffer[size:needed] = -chunk
-                bag.s1 -= s1_of[pos]
-            else:
-                buffer[size:needed] = chunk
-                bag.s1 += s1_of[pos]
-            bag.s2 += s2_of[pos]
-            bag.size = needed
-            total += width
-        self._total += total
+    def _padded(
+        self, slots: np.ndarray, flips: np.ndarray, limit: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`padded_bags` for resolved ``slots`` (``-1``: no bag)."""
+        lengths = self._sizes(slots)
+        np.minimum(lengths, limit, out=lengths)
+        rows = np.flatnonzero(lengths)
+        filled = lengths[rows]
+        width = int(filled.max()) if rows.size else 0
+        # Gather a full-width window at each bag's start (clipped to the
+        # log), orient it, then zero whatever lies past the bag's end.
+        window = self._start[slots[rows]][:, None] + np.arange(width)
+        np.minimum(window, self._log_size - 1, out=window)
+        out = self._log[window]
+        flips = flips[rows]
+        if flips.any():
+            np.negative(out, out=out, where=flips[:, None])
+        out[np.arange(width) >= filled[:, None]] = 0.0
+        return lengths, out
 
     def moments(self, i: int, j: int) -> tuple[int, float, float]:
         """``(n, mean, variance)`` of the stored bag for ``(i, j)``.
@@ -354,22 +377,15 @@ class JudgmentCache:
         if self._pending:
             self._drain()
         key, sign = self._key(i, j)
-        bag = self._bags.get(key)
-        if bag is None or bag.size == 0:
+        slot = self._slot_of.get(key)
+        n = int(self._n[slot]) if slot is not None else 0
+        if n == 0:
             return 0, float("nan"), float("nan")
-        n = bag.size
-        mean = bag.s1 / n
+        mean = float(self._s1[slot]) / n
         if n < 2:
             return n, sign * mean, float("nan")
-        var = max((bag.s2 - n * mean * mean) / (n - 1), 0.0)
+        var = max((float(self._s2[slot]) - n * mean * mean) / (n - 1), 0.0)
         return n, sign * float(mean), float(var)
-
-    def clear(self) -> None:
-        """Drop every bag (deferred batches included — they would have
-        been stored and then dropped, so cancelling them is equivalent)."""
-        self._pending.clear()
-        self._bags.clear()
-        self._total = 0
 
     @property
     def total_samples(self) -> int:
@@ -383,10 +399,312 @@ class JudgmentCache:
         """Number of pairs with at least one stored judgment."""
         if self._pending:
             self._drain()
-        return len(self._bags)
+        return self._live_pairs()
+
+    def _live_pairs(self) -> int:
+        return int(np.count_nonzero(self._n[: self._used]))
 
     def pairs(self) -> list[tuple[int, int]]:
-        """All canonical pairs with stored judgments."""
+        """All canonical pairs with stored judgments, in first-write order
+        (a pair whose bag was evicted and refilled counts from the refill)."""
         if self._pending:
             self._drain()
-        return list(self._bags)
+        live = np.flatnonzero(self._n[: self._used])
+        live = live[np.argsort(self._born[live])]
+        return list(zip(self._lo[live].tolist(), self._hi[live].tolist()))
+
+    @property
+    def _bags(self) -> _BagMap:
+        """Read-only ``pair -> bag`` view (``size``, ``s1``, ``s2``,
+        ``view()``), for audits and parity tests."""
+        return _BagMap(self)
+
+    # ------------------------------------------------------------------
+    # writes
+    # ------------------------------------------------------------------
+    def append(self, i: int, j: int, values: np.ndarray) -> None:
+        """Store new judgments expressed in the ``v(o_i, o_j)`` orientation."""
+        if self._pending:
+            self._drain()
+        values = np.asarray(values, dtype=np.float64)
+        if values.size == 0:
+            return
+        key, sign = self._key(i, j)
+        slot = self._slot_of.get(key)
+        if slot is None:
+            slot = int(self.slot_ids(np.asarray([i]), np.asarray([j]))[0])
+        self._extend(slot, values, sign < 0)
+        self._compact_if_sparse()
+
+    def _room(self, needed: int) -> np.ndarray:
+        """The log, grown if needed to hold ``needed`` values.  It grows by
+        a quarter rather than doubling: a service namespace holds millions
+        of judgments, and doubling would leave up to half of them idle."""
+        log = self._log
+        if needed > log.shape[0]:
+            grown = np.empty(
+                max(needed, log.shape[0] + log.shape[0] // 4), dtype=np.float64
+            )
+            grown[: self._log_size] = log[: self._log_size]
+            self._log = log = grown
+        return log
+
+    def _extend(self, slot: int, values: np.ndarray, flip: bool) -> None:
+        """Append one chunk to ``slot``'s bag (``flip``: the chunk is
+        oriented against the canonical order)."""
+        width = values.size
+        n = int(self._n[slot])
+        start = int(self._start[slot])
+        if n + width > self._cap[slot]:  # no room left: move the bag
+            end = self._log_size
+            cap = n + width + (n + width) // 4 if n else width
+            self._room(end + cap)
+            self._log[end : end + n] = self._log[start : start + n]
+            self._dead += int(self._cap[slot])
+            self._log_size = end + cap
+            self._start[slot] = start = end
+            self._cap[slot] = cap
+        tail = self._log[start + n : start + n + width]
+        if flip:
+            np.negative(values, out=tail)
+        else:
+            tail[:] = values
+        self._n[slot] = n + width
+        if not n:
+            self._born[slot] = self._births
+            self._births += 1
+        # Negation is exact, and Σ(-v) == -Σv bit for bit.
+        s1 = float(values.sum())
+        self._s1[slot] += -s1 if flip else s1
+        self._s2[slot] += float(np.square(values).sum())
+        self._total += width
+
+    def append_rows(
+        self,
+        lefts: np.ndarray,
+        rights: np.ndarray,
+        values: np.ndarray,
+        counts: np.ndarray,
+    ) -> None:
+        """Store one padded matrix of judgments across many pairs at once.
+
+        Row ``r`` contributes ``values[r, :counts[r]]`` to the bag of
+        ``(lefts[r], rights[r])`` — exactly equivalent to calling
+        :meth:`append` per row in row order (see :meth:`_drain` for why
+        the moments are bit-identical, not merely close).
+        """
+        if self._pending:
+            self._drain()
+        self.defer_rows(
+            np.asarray(lefts),
+            np.asarray(rights),
+            np.asarray(values, dtype=np.float64),
+            np.asarray(counts, dtype=np.int64),
+        )
+        self._drain()
+
+    def defer_rows(
+        self,
+        lefts: np.ndarray,
+        rights: np.ndarray,
+        values: np.ndarray,
+        counts: np.ndarray,
+        *,
+        slots: np.ndarray | None = None,
+    ) -> None:
+        """Queue one :meth:`append_rows`-shaped batch for a later bulk apply.
+
+        The racing pool's per-round commit hands its consumed draws here:
+        the round pays one list append, and the accumulated batches are
+        folded into the log the moment anything next looks at the cache
+        (every read and direct-write entry point drains first, so no
+        caller can observe a stale bag).  Deferral only moves the work in
+        time — batches are applied in arrival order with moments
+        bit-identical to an immediate :meth:`append` per row.
+
+        Trusted internal path: rows are assumed well-formed (float64
+        matrix, ``counts[r] <= values.shape[1]``).  ``slots`` (from
+        :meth:`slot_ids`) skips the per-row key lookup at drain time.
+        """
+        self._pending.append((lefts, rights, values, counts, slots))
+
+    def settle(self) -> None:
+        """Fold every deferred batch into the log right now.
+
+        Reads drain automatically; this is for callers about to bypass
+        the public read API (serializers, tests poking at internals).
+        """
+        if self._pending:
+            self._drain()
+
+    def _drain(self) -> np.ndarray:
+        """Fold the deferred batches into the log, in arrival order.
+
+        Every consumed row is one chunk.  Chunk moments come first:
+        chunks are grouped by consumed width, and each group's stacked
+        ``np.add.reduce(axis=1)`` sees the same reduction length the
+        per-row ``values.sum()`` of :meth:`append` would — bit-identical
+        sums in a few array passes.  ``np.add.at`` folds them into the
+        slots in write order, so every running moment matches an eager
+        row-by-row append.  Then the new chunks are stored after each
+        touched bag's values in write order, once every bag without room
+        for them has moved to a bigger region.  Returns the slot of every
+        chunk, in write order.
+        """
+        pending = self._pending
+        self._pending = []
+        counts = np.concatenate([batch[3] for batch in pending])
+        used = np.flatnonzero(counts)
+        if used.size == 0:
+            return _NO_SLOTS
+        lefts = np.concatenate([batch[0] for batch in pending])[used]
+        rights = np.concatenate([batch[1] for batch in pending])[used]
+        slots = np.concatenate(
+            [
+                np.full(len(batch[3]), -1, dtype=np.int64)
+                if batch[4] is None
+                else batch[4]
+                for batch in pending
+            ]
+        )[used]
+        slots = self._checked_slots(lefts, rights, slots, create=True)
+        flips = lefts > rights
+        widths = np.asarray([batch[2].shape[1] for batch in pending], np.int64)
+        heights = np.asarray([len(batch[3]) for batch in pending], np.int64)
+        raw = np.concatenate([batch[2].ravel() for batch in pending])
+        src = _starts(np.repeat(widths, heights))[used]
+        lengths = counts[used].astype(np.int64, copy=False)
+        chunks = used.size
+
+        # Chunk moments: one stacked reduction per consumed width, over a
+        # contiguous (chunks, width) block gathered from the batches.
+        s1 = np.empty(chunks, dtype=np.float64)
+        s2 = np.empty(chunks, dtype=np.float64)
+        for width in set(lengths.tolist()):
+            rows = np.flatnonzero(lengths == width)
+            block = raw[src[rows, None] + np.arange(width)]
+            s1[rows] = np.add.reduce(block, axis=1)
+            s2[rows] = np.add.reduce(np.square(block), axis=1)
+        # Negation is exact, and a - x is a + (-x) bit for bit.
+        np.negative(s1, out=s1, where=flips)
+        np.add.at(self._s1, slots, s1)
+        np.add.at(self._s2, slots, s2)
+
+        # Store the new chunks after each touched bag's values, in write
+        # order, first moving every bag whose region is too small to the
+        # end of the log.
+        by_slot = np.argsort(slots, kind="stable")
+        sorted_slots = slots[by_slot]
+        heads = np.flatnonzero(
+            np.concatenate(([True], sorted_slots[1:] != sorted_slots[:-1]))
+        )
+        touched = sorted_slots[heads]
+        slot_len = lengths[by_slot]
+        added = np.add.reduceat(slot_len, heads)
+        old_n = self._n[touched]
+        new_n = old_n + added
+        movers = np.flatnonzero(new_n > self._cap[touched])
+        log = self._log
+        if movers.size:
+            moving = touched[movers]
+            kept = old_n[movers]
+            caps = new_n[movers]
+            caps[kept > 0] += caps[kept > 0] // 4
+            base = self._log_size
+            dest = base + _starts(caps)
+            end = base + int(caps.sum())
+            log = self._room(end)
+            self._log_size = end
+            if kept.any():
+                log[_expand(dest, kept)] = log[_expand(self._start[moving], kept)]
+            self._dead += int(self._cap[moving].sum())
+            self._start[moving] = dest
+            self._cap[moving] = caps
+        fresh = raw[_expand(src[by_slot], slot_len)]
+        flipped = flips[by_slot]
+        if flipped.any():
+            np.negative(fresh, out=fresh, where=np.repeat(flipped, slot_len))
+        log[_expand(self._start[touched] + old_n, added)] = fresh
+        self._n[touched] = new_n
+        self._total += int(added.sum())
+
+        born = old_n == 0
+        if born.any():
+            # First-write order: a new bag ranks by its first chunk.
+            self._born[touched[born]] = self._births + by_slot[heads[born]]
+        self._births += chunks
+        self._compact_if_sparse()
+        return slots
+
+    # ------------------------------------------------------------------
+    # eviction and compaction
+    # ------------------------------------------------------------------
+    def _evict(self, slot: int) -> int:
+        """Empty ``slot``'s bag; returns the judgments removed.
+
+        The slot keeps its id: a later write to it (from a racing pool
+        that resolved it earlier, say) starts a fresh bag.
+        """
+        n = int(self._n[slot])
+        if n:
+            self._n[slot] = 0
+            self._s1[slot] = 0.0
+            self._s2[slot] = 0.0
+            self._dead += int(self._cap[slot])
+            self._cap[slot] = 0
+            self._total -= n
+        return n
+
+    def _compact_if_sparse(self) -> None:
+        """Rewrite the log without dead space once it exceeds a quarter of
+        the live values, so the cache's memory stays proportional to its
+        bags (a service namespace holds millions of judgments).  Regions
+        keep their size and order, so a growing bag keeps its room; one
+        boolean mask over the log selects them, with no index arrays."""
+        if 4 * self._dead <= self._total:
+            return
+        live = np.flatnonzero(self._n[: self._used])
+        live = live[np.argsort(self._start[live])]
+        starts = self._start[live]
+        caps = self._cap[live]
+        size = int(caps.sum())
+        edges = np.zeros(self._log_size + 1, dtype=np.int8)
+        edges[starts] = 1
+        edges[starts + caps] -= 1
+        owned = np.cumsum(edges[:-1], dtype=np.int8).view(bool)
+        log = np.empty(max(1024, size + size // 4), dtype=np.float64)
+        np.compress(owned, self._log[: self._log_size], out=log[:size])
+        self._start[live] = _starts(caps)
+        self._log = log
+        self._log_size = size
+        self._dead = 0
+
+    def _free_empty_slots(self) -> None:
+        """Forget the pair of every empty slot and free its id for a new
+        pair, so the slot table follows the live bags rather than every
+        pair ever resolved.  Live slots keep their ids.  Ids handed out
+        earlier may now name another pair or none; the reads and writes
+        that take ids look those up again (:meth:`_checked_slots`), so a
+        racing pool that holds them stays correct."""
+        used = self._used
+        # Freed slots hold lo > hi, which matches no pair.
+        empty = np.flatnonzero(
+            (self._n[:used] == 0) & (self._lo[:used] < self._hi[:used])
+        )
+        for pair in zip(self._lo[empty].tolist(), self._hi[empty].tolist()):
+            del self._slot_of[pair]
+        self._lo[empty] = 1
+        self._hi[empty] = 0
+        self._free.extend(reversed(empty.tolist()))
+        self._recycled = self._recycled or bool(empty.size)
+
+    def clear(self) -> None:
+        """Drop every bag (deferred batches included — they would have
+        been stored and then dropped, so cancelling them is equivalent).
+        Slot ids stay valid and map to empty bags."""
+        self._pending.clear()
+        self._n[:] = 0
+        self._cap[:] = 0
+        self._s1[:] = 0.0
+        self._s2[:] = 0.0
+        self._reset_log()

@@ -186,6 +186,9 @@ class HistogramOracle(JudgmentOracle):
             cdf[row] = np.cumsum(pmf)
         cdf[:, -1] = 1.0  # guard against round-off at the top
         self._cdf = cdf
+        # Ids exactly 0..n-1 (every real dataset) are their own rows, so
+        # bulk draws need only a range check, not a per-item lookup.
+        self._dense_ids = bool(ids) and ids[0] == 0 and ids[-1] == len(ids) - 1
         span = float(support[-1] - support[0])
         self.bounds = (-span, span)
 
@@ -238,11 +241,34 @@ class HistogramOracle(JudgmentOracle):
         size: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        rows_left = np.asarray([self._row(int(i)) for i in left])
-        rows_right = np.asarray([self._row(int(j)) for j in right])
-        return self._sample_ratings(rows_left, size, rng) - self._sample_ratings(
-            rows_right, size, rng
+        rows = np.concatenate(
+            (np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64))
         )
+        if not self._dense_ids or (
+            rows.size and (rows.min() < 0 or rows.max() >= len(self._cdf))
+        ):
+            # Sparse ids, or an unknown id: the checked per-item lookup
+            # maps the rows or raises OracleError (no RNG consumed yet).
+            rows = np.asarray([self._row(i) for i in rows.tolist()], dtype=np.intp)
+        # One uniform call for both sides yields the same stream as
+        # sampling the left rows and then the right rows.  Each side keeps
+        # its own shifts and search (see _sample_ratings): the shifted sums
+        # round differently at larger shifts, so every index matches.
+        m, n_support = len(rows) // 2, len(self._support)
+        u = rng.random((2 * m, size)).reshape(2, m, size)
+        shift = 2.0 * np.arange(m)[:, None]
+        u += shift
+        cdf = self._cdf[rows].reshape(2, m, n_support)
+        cdf += shift
+        offsets = np.arange(m)[:, None] * n_support
+        left_idx, right_idx = (
+            np.searchsorted(cdf[side].ravel(), u[side].ravel(), side="left").reshape(
+                m, size
+            )
+            - offsets
+            for side in (0, 1)
+        )
+        return self._support[left_idx] - self._support[right_idx]
 
     @property
     def supports_rating(self) -> bool:
@@ -275,9 +301,8 @@ class UserTableOracle(JudgmentOracle):
             raise OracleError("item_ids must align with the rating columns")
         self._col_of = {int(i): c for c, i in enumerate(item_ids)}
         # Dense item -> column map for bulk draws, built only when the ids
-        # are a permutation of 0..n-1 (every real dataset).  Lookups go
-        # through an unsigned cast, so unknown ids — negative or too
-        # large — fault the gather instead of silently wrapping.
+        # are a permutation of 0..n-1 (every real dataset).  Lookups are
+        # range-checked first: numpy would wrap a negative id.
         self._col_arr: np.ndarray | None = None
         if item_ids.size and int(item_ids.min()) >= 0 and int(
             item_ids.max()
@@ -315,23 +340,19 @@ class UserTableOracle(JudgmentOracle):
         size: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
+        ids = np.concatenate(
+            (np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64))
+        )
         col_arr = self._col_arr
-        if col_arr is not None:
-            try:
-                cols_left = col_arr[np.asarray(left).astype(np.uintp)]
-                cols_right = col_arr[np.asarray(right).astype(np.uintp)]
-            except IndexError:
-                # Unknown id: the checked per-item path below raises the
-                # proper OracleError (no RNG was consumed yet).
-                pass
-            else:
-                users = rng.integers(0, self.n_users, size=(len(left), size))
-                return (
-                    self._ratings[users, cols_left[:, None]]
-                    - self._ratings[users, cols_right[:, None]]
-                )
-        cols_left = np.asarray([self._col(int(i)) for i in left])
-        cols_right = np.asarray([self._col(int(j)) for j in right])
+        if col_arr is not None and (
+            ids.size == 0 or (ids.min() >= 0 and ids.max() < col_arr.size)
+        ):
+            cols = col_arr[ids]
+        else:
+            # Sparse ids, or an unknown id: the checked per-item lookup
+            # maps the columns or raises OracleError (no RNG consumed yet).
+            cols = np.asarray([self._col(i) for i in ids.tolist()], dtype=np.intp)
+        cols_left, cols_right = cols[: len(ids) // 2], cols[len(ids) // 2 :]
         users = rng.integers(0, self.n_users, size=(len(cols_left), size))
         return (
             self._ratings[users, cols_left[:, None]]

@@ -123,6 +123,12 @@ class RacingPool:
         self._counter_cache: dict[object, object] = {}
         self._round_counters: tuple | None = None
 
+        # The cache slots of the pairs, resolved once: every round's
+        # deferred write and the replay gather use them directly.
+        self._cache = session.cache
+        if use_cache and count:
+            self._slots = self._cache.slot_ids(self.left, self.right)
+
         if resume_state is not None:
             self._load_state(resume_state)
         elif use_cache and count:
@@ -149,20 +155,17 @@ class RacingPool:
         building a fresh tester per pair.  Keeps SPR reference changes and
         cache-heavy re-partitions from going quadratic in Python.
         """
-        cache = self.session.cache
+        cache = self._cache
         if cache.total_samples == 0:  # cold cache: nothing to scan
             return
-        budget = self._budget
-        bags = [bag[:budget] for bag in cache.bags_for(self.left, self.right)]
-        lengths = np.asarray([bag.size for bag in bags], dtype=np.int64)
+        lengths, values = cache.padded_bags(
+            self.left, self.right, self._budget, slots=self._slots
+        )
         rows = np.flatnonzero(lengths > 0)
         if rows.size == 0:
             return
         row_len = lengths[rows]
-        width = int(row_len.max())
-        values = np.zeros((rows.size, width), dtype=np.float64)
-        for slot, row in enumerate(rows):
-            values[slot, : lengths[row]] = bags[row]
+        width = values.shape[1]
 
         counts = np.arange(1, width + 1, dtype=np.int64)
         n_mat = np.broadcast_to(counts, values.shape)
@@ -448,8 +451,12 @@ class RacingPool:
             # The round's only cache cost is queueing the batch; the bags
             # absorb all queued rounds in one width-grouped pass the next
             # time anything reads the cache (JudgmentCache.defer_rows).
-            self.session.cache.defer_rows(
-                self.left[sub], self.right[sub], values, consumed
+            self._cache.defer_rows(
+                self.left[sub],
+                self.right[sub],
+                values,
+                consumed,
+                slots=self._slots[sub],
             )
         return int(consumed.sum()), int(exhausted_idx.size)
 

@@ -1,13 +1,16 @@
-"""The cross-query judgment cache: tenant namespaces, LRU bounds, counters.
+"""The cross-query judgment cache: namespaces, LRU bounds, counters.
 
 Judgments are *reusable* (§5.3) — and in a multi-tenant service they are
 reusable **across queries**: two queries from the same tenant over the
-same items share every purchased comparison.  :class:`SharedJudgmentCache`
-manages one :class:`TenantCache` per tenant namespace (tenants never see
-each other's judgments — they may be paying different crowds different
-rates, and cross-tenant reuse would leak information about another
-tenant's data), a global byte/entry-bounded LRU over all stored pairs,
-and per-tenant hit/miss/eviction counters on the service's
+same dataset share every purchased comparison.  :class:`SharedJudgmentCache`
+manages one :class:`TenantCache` per ``(tenant, dataset)`` namespace.
+Tenants never see each other's judgments (they may be paying different
+crowds different rates, and cross-tenant reuse would leak information
+about another tenant's data), and one tenant's datasets never see each
+other's either: item ids are per dataset, so pair ``(3, 7)`` on jester
+and on imdb are different comparisons.  On top sit a global
+byte/entry-bounded LRU over all stored pairs and per-tenant
+hit/miss/eviction counters on the service's
 :class:`~repro.telemetry.MetricsRegistry`.
 
 A :class:`TenantCache` *is a* :class:`~repro.core.cache.JudgmentCache`,
@@ -20,17 +23,25 @@ single-query base class:
 * :meth:`defer_rows` stays deferred — the base class drains the queue
   before any read or direct write returns, and every entry point here
   holds the shared lock, so a concurrent query drains (under the lock)
-  before it can observe a bag; LRU/byte accounting piggybacks on the
-  drain instead of running per round, keeping the service's per-round
-  bookkeeping tax identical to a standalone session's;
+  before it can observe a bag.  LRU and byte accounting run on the
+  drain, once per drained slot, from the slots the drain wrote: the
+  service's per-round bookkeeping is a standalone session's;
 * reads and writes refresh the pair's LRU recency, and writes trigger
   eviction when the global bounds are exceeded.
 
-Eviction drops whole bags, never truncates them: any racing pool holding
-views into an evicted bag keeps valid arrays (numpy keeps the buffer
-alive), and the pair's next read is simply a miss — the evidence is
-repurchased, moments are recomputed from the fresh bag, and no running
-moment is ever corrupted.
+Eviction empties a whole bag and never truncates it: a racing pool that
+resolved the pair's slot earlier and writes to it again simply starts a
+fresh bag.  Arrays handed out before the eviction stay valid (the value
+log is append-only), the pair's next read is a miss, and no running
+moment is ever corrupted.  Memory follows what is cached, not what was
+ever raced: once dead log space (an evicted bag's region, or the region
+a growing bag moved out of) exceeds a quarter of a namespace's live
+judgments, its log is compacted, and once a namespace's empty slots
+outnumber its live ones after an eviction, the slot table forgets their
+pairs and hands their ids to new pairs.  Slot ids a racing pool still
+holds may then name other pairs; the cache checks every id it is handed
+against the slot's pair and looks up the stale ones again, so the
+pool's writes land in the right bags.
 """
 
 from __future__ import annotations
@@ -55,17 +66,16 @@ _ENTRY_OVERHEAD_BYTES = 128
 
 
 class TenantCache(JudgmentCache):
-    """One tenant's namespace inside a :class:`SharedJudgmentCache`.
+    """One ``(tenant, dataset)`` namespace inside a :class:`SharedJudgmentCache`.
 
     Construct through :meth:`SharedJudgmentCache.tenant`, never directly.
     Thread-safe; safe to share between every concurrent query of the
-    tenant.
+    namespace.
     """
 
     def __init__(self, shared: "SharedJudgmentCache", tenant: str) -> None:
         super().__init__()
         self._shared = shared
-        self._tenant = tenant
         self._lock = shared._lock
         registry = shared.registry
         self._hit_counter = registry.counter(
@@ -80,10 +90,6 @@ class TenantCache(JudgmentCache):
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Canonical keys touched by deferred batches, accounted (LRU
-        #: recency + byte sizes) when the queue next drains.  Ordered —
-        #: recency must follow write order, as the eager path's would.
-        self._pending_keys: dict[tuple[int, int], None] = {}
 
     # ------------------------------------------------------------------
     # hit/miss accounting (a hit = a read that found a non-empty bag)
@@ -96,6 +102,10 @@ class TenantCache(JudgmentCache):
             self.misses += misses
             self._miss_counter.add(misses)
 
+    def _touch_slot(self, i: int, j: int) -> None:
+        key, _ = self._key(i, j)
+        self._shared._touch(self, self._slot_of[key])
+
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
@@ -105,32 +115,50 @@ class TenantCache(JudgmentCache):
 
     def bag(self, i: int, j: int) -> np.ndarray:
         with self._lock:
-            key, _ = self._key(i, j)
             values = super().bag(i, j)
             if values.size:
-                self._shared._touch(self._tenant, key)
+                self._touch_slot(i, j)
             self._record_reads(int(values.size > 0), int(values.size == 0))
             return values
 
     def bags_for(self, lefts: np.ndarray, rights: np.ndarray) -> list[np.ndarray]:
         with self._lock:
             out = super().bags_for(lefts, rights)
-            hits = 0
-            for (i, j), values in zip(zip(lefts.tolist(), rights.tolist()), out):
-                if values.size:
-                    hits += 1
-                    self._shared._touch(
-                        self._tenant, (i, j) if i < j else (j, i)
-                    )
-            self._record_reads(hits, len(out) - hits)
+            self._record_bulk_reads(
+                self._find_slots(np.asarray(lefts), np.asarray(rights)),
+                np.asarray([values.size for values in out], dtype=np.int64),
+            )
             return out
+
+    def padded_bags(
+        self,
+        lefts: np.ndarray,
+        rights: np.ndarray,
+        limit: int,
+        *,
+        slots: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        with self._lock:
+            if self._pending:  # a drain may create the slots looked up below
+                self._drain()
+            lefts = np.asarray(lefts)
+            rights = np.asarray(rights)
+            slots = self._read_slots(lefts, rights, slots)
+            lengths, values = self._padded(slots, lefts > rights, limit)
+            self._record_bulk_reads(slots, lengths)
+            return lengths, values
+
+    def _record_bulk_reads(self, slots: np.ndarray, lengths: np.ndarray) -> None:
+        hit = slots[lengths > 0]
+        for slot in hit.tolist():
+            self._shared._touch(self, slot)
+        self._record_reads(hit.size, lengths.size - hit.size)
 
     def moments(self, i: int, j: int) -> tuple[int, float, float]:
         with self._lock:
             n, mean, var = super().moments(i, j)
             if n:
-                key, _ = self._key(i, j)
-                self._shared._touch(self._tenant, key)
+                self._touch_slot(i, j)
             return n, mean, var
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -150,54 +178,36 @@ class TenantCache(JudgmentCache):
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
+    def slot_ids(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        with self._lock:
+            return super().slot_ids(lefts, rights)
+
     def append(self, i: int, j: int, values: np.ndarray) -> None:
         with self._lock:
             super().append(i, j, values)
             key, _ = self._key(i, j)
-            self._shared._account(self, [key])
+            slot = self._slot_of.get(key)
+            if slot is not None and self._n[slot]:
+                self._shared._account(self, [slot])
 
     def append_rows(self, lefts, rights, values, counts) -> None:
         with self._lock:
             super().append_rows(lefts, rights, values, counts)
-            counts_list = (
-                counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
-            )
-            touched = []
-            for i, j, width in zip(lefts.tolist(), rights.tolist(), counts_list):
-                if width:
-                    touched.append((i, j) if i < j else (j, i))
-            self._shared._account(self, touched)
 
-    def defer_rows(self, lefts, rights, values, counts) -> None:
-        """Queue a round's rows; account them when the queue drains.
-
-        The base class already guarantees no caller can observe an
-        un-drained queue (every read and direct-write entry point drains
-        first), and every entry point of this class holds the shared
-        lock — so deferral is just as safe with concurrent tenants as it
-        is single-owner, and the service keeps the deferred path's
-        per-round cost.  The touched keys are remembered so
-        :meth:`_drain` can refresh LRU recency and byte accounting for
-        exactly the pairs the batches wrote.
-        """
+    def defer_rows(self, lefts, rights, values, counts, *, slots=None) -> None:
         with self._lock:
-            super().defer_rows(lefts, rights, values, counts)
-            pending = self._pending_keys
-            counts_list = (
-                counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
-            )
-            for i, j, width in zip(lefts.tolist(), rights.tolist(), counts_list):
-                if width:
-                    key = (i, j) if i < j else (j, i)
-                    pending.pop(key, None)  # re-touch moves to the hot end
-                    pending[key] = None
+            super().defer_rows(lefts, rights, values, counts, slots=slots)
 
-    def _drain(self) -> None:
-        super()._drain()
-        if self._pending_keys:
-            keys = list(self._pending_keys)
-            self._pending_keys.clear()
-            self._shared._account(self, keys)
+    def _drain(self) -> np.ndarray:
+        """Fold the queue, then account every slot it wrote, in the order
+        of each slot's last write (recency follows write order, as an
+        eager row-by-row append's would)."""
+        slots = super()._drain()
+        if slots.size:
+            backwards = slots[::-1]
+            unique, last = np.unique(backwards, return_index=True)
+            self._shared._account(self, unique[np.argsort(-last)].tolist())
+        return slots
 
     def settle(self) -> None:
         with self._lock:
@@ -205,24 +215,13 @@ class TenantCache(JudgmentCache):
 
     def clear(self) -> None:
         with self._lock:
-            self._pending_keys.clear()
             super().clear()
-            self._shared._forget_tenant(self._tenant)
-
-    # internal: called by the shared manager under the lock
-    def _evict(self, key: tuple[int, int]) -> int:
-        """Drop ``key``'s bag; returns the sample count removed."""
-        bag = self._bags.pop(key, None)
-        if bag is None:
-            return 0
-        self._total -= bag.size
-        self.evictions += 1
-        self._eviction_counter.inc()
-        return bag.size
+            self._shared._forget(self)
 
 
 class SharedJudgmentCache:
-    """Cross-query judgment storage for the service: one namespace per tenant.
+    """Cross-query judgment storage for the service: one namespace per
+    ``(tenant, dataset)``.
 
     Parameters
     ----------
@@ -257,29 +256,31 @@ class SharedJudgmentCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._lock = threading.RLock()
-        self._tenants: dict[str, TenantCache] = {}
-        #: (tenant, canonical pair) -> accounted bytes, in recency order
-        #: (oldest first).
-        self._lru: OrderedDict[tuple[str, tuple[int, int]], int] = OrderedDict()
+        self._namespaces: dict[tuple[str, str | None], TenantCache] = {}
+        #: (namespace, slot) -> accounted bytes, in recency order (oldest
+        #: first).
+        self._lru: OrderedDict[tuple[TenantCache, int], int] = OrderedDict()
         self._bytes = 0
         self._entries_gauge = registry.gauge("service_cache_entries")
         self._bytes_gauge = registry.gauge("service_cache_bytes")
 
     # ------------------------------------------------------------------
-    def tenant(self, name: str) -> TenantCache:
-        """The (lazily created) cache namespace for tenant ``name``."""
+    def tenant(self, name: str, dataset: str | None = None) -> TenantCache:
+        """The (lazily created) cache namespace of tenant ``name`` for
+        ``dataset``."""
         if not name:
             raise ValueError("tenant name must be non-empty")
         with self._lock:
-            cache = self._tenants.get(name)
+            key = (name, dataset)
+            cache = self._namespaces.get(key)
             if cache is None:
-                cache = self._tenants[name] = TenantCache(self, name)
+                cache = self._namespaces[key] = TenantCache(self, name)
             return cache
 
     def tenants(self) -> list[str]:
-        """Names of every tenant namespace created so far."""
+        """Names of every tenant with a namespace so far."""
         with self._lock:
-            return sorted(self._tenants)
+            return sorted({name for name, _ in self._namespaces})
 
     @property
     def entries(self) -> int:
@@ -294,47 +295,47 @@ class SharedJudgmentCache:
             return self._bytes
 
     def stats(self) -> dict:
-        """A JSON-ready snapshot for the observatory's service document."""
+        """A JSON-ready snapshot for the observatory's service document.
+
+        Per-tenant figures sum over the tenant's dataset namespaces.
+        """
         with self._lock:
+            tenants: dict[str, dict[str, int]] = {}
+            for (name, _), cache in self._namespaces.items():
+                row = tenants.setdefault(
+                    name, {"pairs": 0, "hits": 0, "misses": 0, "evictions": 0}
+                )
+                row["pairs"] += cache._live_pairs()
+                row["hits"] += cache.hits
+                row["misses"] += cache.misses
+                row["evictions"] += cache.evictions
             return {
                 "entries": len(self._lru),
                 "bytes": self._bytes,
                 "max_entries": self.max_entries,
                 "max_bytes": self.max_bytes,
-                "tenants": {
-                    name: {
-                        "pairs": len(cache._bags),
-                        "hits": cache.hits,
-                        "misses": cache.misses,
-                        "evictions": cache.evictions,
-                    }
-                    for name, cache in sorted(self._tenants.items())
-                },
+                "tenants": dict(sorted(tenants.items())),
             }
 
     # ------------------------------------------------------------------
     # internal accounting (callers hold the lock)
     # ------------------------------------------------------------------
-    def _touch(self, tenant: str, key: tuple[int, int]) -> None:
-        entry = (tenant, key)
+    def _touch(self, cache: TenantCache, slot: int) -> None:
+        entry = (cache, slot)
         if entry in self._lru:
             self._lru.move_to_end(entry)
 
-    def _account(
-        self, cache: TenantCache, keys: list[tuple[int, int]]
-    ) -> None:
-        """Refresh sizes/recency for freshly written ``keys``, then evict."""
+    def _account(self, cache: TenantCache, slots: list[int]) -> None:
+        """Refresh sizes/recency for freshly written ``slots``, then evict."""
         lru = self._lru
-        for key in keys:
-            bag = cache._bags.get(key)
-            if bag is None:  # zero-width rows never created a bag
-                continue
-            entry = (cache._tenant, key)
-            new_bytes = 8 * bag.size + _ENTRY_OVERHEAD_BYTES
+        sizes = cache._n
+        for slot in slots:
+            entry = (cache, slot)
+            new_bytes = 8 * int(sizes[slot]) + _ENTRY_OVERHEAD_BYTES
             self._bytes += new_bytes - lru.get(entry, 0)
             lru[entry] = new_bytes
             lru.move_to_end(entry)
-        self._evict_over_bounds(protect=len(keys))
+        self._evict_over_bounds(protect=len(slots))
 
     def _over_bounds(self) -> bool:
         if self.max_entries is not None and len(self._lru) > self.max_entries:
@@ -352,18 +353,27 @@ class SharedJudgmentCache:
         evict its own in-flight evidence.
         """
         lru = self._lru
+        evicted: set[TenantCache] = set()
         while self._over_bounds() and len(lru) > protect:
-            (tenant, key), accounted = lru.popitem(last=False)
+            (cache, slot), accounted = lru.popitem(last=False)
             self._bytes -= accounted
-            cache = self._tenants.get(tenant)
-            if cache is not None:
-                cache._evict(key)
+            if cache._evict(slot):
+                cache.evictions += 1
+                cache._eviction_counter.inc()
+                evicted.add(cache)
+        for cache in evicted:
+            cache._compact_if_sparse()
+            # Racing pools resolve a slot for every pair they race, and
+            # evictions empty slots: free the empty ones once they
+            # outnumber the live, so the table tracks what is cached.
+            if len(cache._slot_of) > 2 * cache._live_pairs():
+                cache._free_empty_slots()
         self._entries_gauge.set(len(lru))
         self._bytes_gauge.set(self._bytes)
 
-    def _forget_tenant(self, tenant: str) -> None:
-        """Drop LRU accounting for ``tenant`` (its cache was cleared)."""
-        for entry in [e for e in self._lru if e[0] == tenant]:
+    def _forget(self, cache: TenantCache) -> None:
+        """Drop LRU accounting for ``cache`` (its namespace was cleared)."""
+        for entry in [e for e in self._lru if e[0] is cache]:
             self._bytes -= self._lru.pop(entry)
         self._entries_gauge.set(len(self._lru))
         self._bytes_gauge.set(self._bytes)

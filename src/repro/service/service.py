@@ -348,7 +348,7 @@ class QueryService:
                 # The cold path of the determinism contract: the tenant
                 # namespace holds exactly what earlier queries stored, so
                 # a first query sees an empty cache — standalone run.
-                session.use_cache(self.cache.tenant(spec.tenant))
+                session.use_cache(self.cache.tenant(spec.tenant, spec.dataset))
             handle._session = session
             session.set_spend_gate(self._make_gate(handle, session))
             if self.state_dir is not None and spec.resumable:

@@ -130,6 +130,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "_ObservatoryHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as separate writes; with Nagle on, the body
+    # of every response after the first on a kept-alive connection waits
+    # for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         split = urlsplit(self.path)

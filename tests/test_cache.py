@@ -177,6 +177,22 @@ class TestBatchedAppend:
         assert cache.total_samples == 0
 
 
+def _assert_same_cache(got: JudgmentCache, want: JudgmentCache) -> None:
+    """Bags, running moments (bit for bit) and totals agree, through the
+    public read API only."""
+    assert got.pairs() == want.pairs()
+    assert got.total_samples == want.total_samples
+    for i, j in want.pairs():
+        for a, b in ((i, j), (j, i)):
+            assert got.bag(a, b).tobytes() == want.bag(a, b).tobytes()
+            n, mean, var = got.moments(a, b)
+            assert (n, float(mean).hex()) == (
+                want.moments(a, b)[0],
+                float(want.moments(a, b)[1]).hex(),
+            )
+            assert np.array_equal(var, want.moments(a, b)[2], equal_nan=True)
+
+
 class TestDeferredRows:
     """``defer_rows`` queues; any read drains; the result must equal the
     same batches applied eagerly, bit for bit."""
@@ -194,27 +210,33 @@ class TestDeferredRows:
             batch = self._batch(rng)
             deferred.defer_rows(*batch)
             eager.append_rows(*batch)
-        deferred.settle()
-        assert deferred.total_samples == eager.total_samples
-        assert sorted(deferred._bags) == sorted(eager._bags)
-        for key, bag in deferred._bags.items():
-            other = eager._bags[key]
-            assert bag.view().tobytes() == other.view().tobytes()
-            assert bag.s1 == other.s1
-            assert bag.s2 == other.s2
+        _assert_same_cache(deferred, eager)
 
-    def test_reads_drain_pending(self, rng):
-        for read in (
-            lambda c: c.bag(0, 1),
-            lambda c: c.count(0, 1),
-            lambda c: c.moments(0, 1),
-            lambda c: c.total_samples,
-            lambda c: c.pair_count,
-            lambda c: c.pairs(),
-            lambda c: c.bags_for(
-                np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)
+    def test_reads_drain_pending(self):
+        reads = {
+            "bag": (lambda c: c.bag(0, 1).tolist(), [1.0, 2.0]),
+            "count": (lambda c: c.count(0, 1), 2),
+            "moments": (lambda c: c.moments(0, 1)[:2], (2, 1.5)),
+            "total_samples": (lambda c: c.total_samples, 2),
+            "pair_count": (lambda c: c.pair_count, 1),
+            "pairs": (lambda c: c.pairs(), [(0, 1)]),
+            "bags_for": (
+                lambda c: [
+                    bag.tolist()
+                    for bag in c.bags_for(
+                        np.array([1], dtype=np.int64), np.array([0], dtype=np.int64)
+                    )
+                ],
+                [[-1.0, -2.0]],
             ),
-        ):
+            "padded_bags": (
+                lambda c: c.padded_bags(
+                    np.array([0], dtype=np.int64), np.array([1], dtype=np.int64), 1
+                )[1].tolist(),
+                [[1.0]],
+            ),
+        }
+        for name, (read, expected) in reads.items():
             cache = JudgmentCache()
             cache.defer_rows(
                 np.array([0], dtype=np.int64),
@@ -222,9 +244,7 @@ class TestDeferredRows:
                 np.array([[1.0, 2.0]]),
                 np.array([2], dtype=np.int64),
             )
-            read(cache)
-            assert not cache._pending
-            assert cache.count(0, 1) == 2
+            assert read(cache) == expected, name
 
     def test_writes_drain_first_preserving_order(self, rng):
         deferred, eager = JudgmentCache(), JudgmentCache()
@@ -238,6 +258,15 @@ class TestDeferredRows:
         eager.append(0, 1, np.array([1.0, 2.0, 3.0]))
         eager.append(1, 0, np.array([4.0]))
         assert deferred.bag(0, 1).tobytes() == eager.bag(0, 1).tobytes()
+
+    def test_pre_resolved_slots_match_key_lookup(self, rng):
+        by_slot, by_key = JudgmentCache(), JudgmentCache()
+        for _ in range(5):
+            lefts, rights, values, counts = self._batch(rng)
+            slots = by_slot.slot_ids(lefts, rights)
+            by_slot.defer_rows(lefts, rights, values, counts, slots=slots)
+            by_key.defer_rows(lefts, rights, values, counts)
+        _assert_same_cache(by_slot, by_key)
 
     def test_clear_cancels_pending(self):
         cache = JudgmentCache()

@@ -13,7 +13,7 @@ from repro.core.estimators import (
     StudentTester,
     make_tester,
 )
-from repro.stats.tdist import t_quantile
+from repro.stats.tdist import t_quantile, t_quantiles
 
 
 class TestMomentState:
@@ -129,6 +129,39 @@ class TestStudentTester:
         tester.push_many(np.array([1.0, 2.0]))
         tester.reset()
         assert tester.n == 0
+
+    @staticmethod
+    def _reference_codes(alpha, n, mean, s2):
+        """The textbook form: sample variance, t margin, interval test."""
+        n = np.asarray(n)
+        nf = n.astype(np.float64)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            var = (s2 - nf * mean * mean) / (nf - 1.0)
+            var = np.where(nf >= 2, np.maximum(var, 0.0), np.nan)
+            tq = t_quantiles(alpha, max(int(n.max()) - 1, 1))
+            margin = tq[np.clip(n - 1, 0, len(tq) - 1)] * np.sqrt(var / n)
+        codes = np.zeros(mean.shape, dtype=np.int8)
+        valid = (n >= 2) & np.isfinite(margin)
+        codes[valid & (mean - margin > 0.0)] = 1
+        codes[valid & (mean + margin < 0.0)] = -1
+        return codes
+
+    def test_decision_codes_match_the_textbook_form_bit_for_bit(self):
+        # A racing round's shape: running moments plus each prefix of a
+        # draw, including n = 1 cells and exactly-zero variance.
+        rng = np.random.default_rng(3)
+        values = np.round(rng.normal(0.3, 1.0, size=(400, 30)), 1)
+        values[:5] = 0.7  # zero variance: the margin is exactly 0
+        n0 = rng.integers(0, 60, size=(400, 1))
+        n = n0 + np.arange(1, 31)
+        s1 = rng.normal(size=(400, 1)) + np.cumsum(values, axis=1)
+        s2 = rng.uniform(0, 5, size=(400, 1)) + np.cumsum(values**2, axis=1)
+        mean = s1 / n
+        for alpha in (0.05, 0.2):
+            np.testing.assert_array_equal(
+                StudentTester(alpha=alpha, min_workload=2).decision_codes(n, mean, s2),
+                self._reference_codes(alpha, n, mean, s2),
+            )
 
 
 class TestSteinTester:

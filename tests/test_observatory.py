@@ -1,9 +1,13 @@
 """The HTTP observatory: endpoints, progress plumbing, serving invariance."""
 
+import http.client
 import json
 import re
+import statistics
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -135,6 +139,27 @@ class TestEndpoints:
         status, body, _ = _get(observatory.url + "/nope")
         assert status == 404
         assert "/metrics" in json.loads(body)["routes"]
+
+    def test_kept_alive_connection_answers_without_a_delayed_ack_stall(
+        self, observatory
+    ):
+        # Headers and body are separate writes; with Nagle's algorithm on,
+        # each response after the first waits ~40 ms for the client's
+        # delayed ACK.  A median well under that shows it is off.
+        split = urllib.parse.urlsplit(observatory.url)
+        conn = http.client.HTTPConnection(split.hostname, split.port, timeout=10)
+        try:
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                times.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(times) < 0.020, times
 
     def test_requests_are_counted_per_route(self, observatory):
         _get(observatory.url + "/healthz")

@@ -128,6 +128,12 @@ class TestUserTableOracle:
         assert matrix[0].mean() == pytest.approx(1.0, abs=0.1)
         assert matrix[1].mean() == pytest.approx(2.0, abs=0.1)
 
+    @pytest.mark.parametrize("unknown", [-1, 3])
+    def test_draw_pairs_rejects_unknown_ids(self, oracle, rng, unknown):
+        # A negative id must not wrap around to the last column.
+        with pytest.raises(OracleError):
+            oracle.draw_pairs(np.array([unknown]), np.array([2]), 4, rng)
+
     def test_rate(self, oracle, rng):
         assert oracle.supports_rating
         ratings = oracle.rate(2, 5000, rng)
@@ -274,6 +280,71 @@ class TestHistogramSamplingVectorization:
                 rows, 64, np.random.default_rng(seed)
             )
             np.testing.assert_array_equal(actual, expected)
+
+    @pytest.mark.parametrize("pairs", [1, 7, 700])
+    def test_draw_pairs_matches_two_per_side_calls(self, pairs):
+        # The former draw_pairs: one sampling call per side.  One
+        # ``rng.random`` call now serves both sides with the same stream.
+        rng = np.random.default_rng(pairs)
+        support = np.linspace(1.0, 10.0, 10)
+        pmfs = {
+            item: rng.dirichlet(np.full(10, 0.5)) for item in range(2 * pairs)
+        }
+        oracle = HistogramOracle(support, pmfs)
+        left = rng.permutation(2 * pairs)[:pairs]
+        right = (left + 1) % (2 * pairs)
+        expected_rng, actual_rng = (np.random.default_rng(5) for _ in range(2))
+        expected = oracle._sample_ratings(
+            left, 40, expected_rng
+        ) - oracle._sample_ratings(right, 40, expected_rng)
+        actual = oracle.draw_pairs(left, right, 40, actual_rng)
+        np.testing.assert_array_equal(actual, expected)
+        assert actual_rng.random() == expected_rng.random()
+
+    def test_each_side_keeps_its_own_shifts(self):
+        # A uniform one ulp-ish above a CDF step counts that step only while
+        # the row's shift is small enough to keep the gap: shifted by 2·r
+        # for r restarting at 0 on each side, as two per-side calls did, the
+        # first right-hand row still counts it; shifted by 2·(pairs + r)
+        # it would not.
+        class Uniforms:
+            def random(self, shape):
+                return np.full(shape, 0.5 + 2.0**-50)
+
+        support = np.array([1.0, 2.0])
+        oracle = HistogramOracle(support, {i: np.array([0.5, 0.5]) for i in range(16)})
+        left, right = np.arange(8), np.arange(8, 16)
+        expected = oracle._sample_ratings(
+            left, 3, Uniforms()
+        ) - oracle._sample_ratings(right, 3, Uniforms())
+        np.testing.assert_array_equal(
+            oracle.draw_pairs(left, right, 3, Uniforms()), expected
+        )
+
+    @pytest.mark.parametrize("unknown", [-1, 3, 10**6])
+    def test_draw_pairs_rejects_unknown_ids(self, oracle, unknown):
+        rng = np.random.default_rng(0)
+        with pytest.raises(OracleError):
+            oracle.draw_pairs(np.array([0, unknown]), np.array([1, 2]), 4, rng)
+        with pytest.raises(OracleError):
+            oracle.draw_pairs(np.array([0, 1]), np.array([unknown, 2]), 4, rng)
+
+    def test_draw_pairs_with_sparse_ids(self):
+        # Ids that are not 0..n-1 take the checked per-item lookup.
+        support = np.arange(1.0, 6.0)
+        pmf = np.full(5, 0.2)
+        sparse = HistogramOracle(support, {10: pmf, 20: pmf, 30: pmf})
+        dense = HistogramOracle(support, {0: pmf, 1: pmf, 2: pmf})
+        np.testing.assert_array_equal(
+            sparse.draw_pairs(
+                np.array([10, 30]), np.array([20, 10]), 9, np.random.default_rng(1)
+            ),
+            dense.draw_pairs(
+                np.array([0, 2]), np.array([1, 0]), 9, np.random.default_rng(1)
+            ),
+        )
+        with pytest.raises(OracleError):
+            sparse.draw_pairs(np.array([10]), np.array([11]), 3, np.random.default_rng(1))
 
     def test_distribution_unchanged(self, oracle, rng):
         ratings = oracle._sample_ratings(np.array([0]), 20000, rng)[0]

@@ -5,10 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.crowd.pool import RacingPool
 from repro.persistence import cache_from_json, cache_to_json
-from repro.service import QueryService, QuerySpec, SharedJudgmentCache, session_for
+from repro.service import (
+    QueryService,
+    QuerySpec,
+    SharedJudgmentCache,
+    run_query,
+    session_for,
+)
 from repro.service.runner import execute_spec
 from repro.telemetry import MetricsRegistry
+from tests.conftest import make_latent_session
 
 SPEC_A = QuerySpec(
     method="spr", k=3, dataset="synthetic", n_items=12, seed=3, tenant="acme"
@@ -45,6 +53,67 @@ class TestTenantNamespaces:
         stats = cache.stats()["tenants"]
         assert stats["a"]["hits"] == 1
         assert stats["b"]["misses"] == 1
+
+
+class TestDeferredReads:
+    def test_bulk_reads_see_deferred_rows_of_new_pairs(self):
+        namespace = shared().tenant("a")
+        lefts = np.array([5, 9], dtype=np.int64)
+        rights = np.array([7, 8], dtype=np.int64)
+        namespace.defer_rows(
+            lefts, rights, np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([2, 1])
+        )
+        lengths, values = namespace.padded_bags(lefts, rights, 10)
+        assert lengths.tolist() == [2, 1]
+        assert values.tolist() == [[1.0, 2.0], [3.0, 0.0]]
+        assert [bag.tolist() for bag in namespace.bags_for(rights, lefts)] == [
+            [-1.0, -2.0],
+            [-3.0],
+        ]
+        assert namespace.hits == 4
+
+    def test_an_unknown_pair_misses_when_the_slot_arrays_are_full(self):
+        # 64 pairs fill the per-slot arrays exactly, so the -1 of an
+        # unknown pair would index a real slot if it reached them.
+        namespace = shared().tenant("a")
+        for n in range(64):
+            namespace.append(n, n + 1000, np.ones(2))
+        lengths, values = namespace.padded_bags(
+            np.array([5000]), np.array([5001]), 10
+        )
+        assert lengths.tolist() == [0]
+        assert values.shape[0] == 0
+        assert (namespace.hits, namespace.misses) == (0, 1)
+
+
+class TestDatasetNamespaces:
+    @pytest.mark.faultfree  # compares exact costs and answers
+    def test_a_tenants_datasets_never_share_judgments(self):
+        # Item ids are per dataset: jester's pair (3, 7) is not imdb's.
+        # Judgments bought by a jester query must not answer an imdb
+        # query of the same tenant, so the imdb query runs as if cold.
+        jester = QuerySpec(
+            method="tournament", k=3, dataset="jester", n_items=30, seed=5,
+            tenant="acme",
+        )
+        imdb = QuerySpec(
+            method="spr", k=3, dataset="imdb", n_items=30, seed=6,
+            tenant="acme",
+        )
+        cold = run_query(imdb, MetricsRegistry())
+        with QueryService(max_workers=1, registry=MetricsRegistry()) as service:
+            service.submit(jester).result(timeout=120)
+            warm = service.submit(imdb).result(timeout=120)
+        assert list(warm.topk) == list(cold.topk)
+        assert (warm.cost, warm.rounds) == (cold.cost, cold.rounds)
+        assert service.cache.tenants() == ["acme"]
+        counts = [
+            service.cache.tenant("acme", dataset).pair_count
+            for dataset in ("jester", "imdb")
+        ]
+        assert all(counts)
+        # The per-tenant figures sum over the tenant's namespaces.
+        assert service.cache.stats()["tenants"]["acme"]["pairs"] == sum(counts)
 
 
 class TestWarmHitIdentity:
@@ -144,6 +213,109 @@ class TestLruEviction:
             total += values.size
         assert namespace.total_samples == total
         assert cache.entries <= 4
+
+    @pytest.mark.faultfree  # compares exact draws with a reference run
+    def test_evicting_a_slot_mid_race_starts_a_fresh_bag(self):
+        """A racing pool resolves its cache slots once.  When the LRU
+        evicts one of them mid-race, the pool's later rounds start a fresh
+        bag in that slot, and its verdicts are those of a run whose cache
+        was never evicted."""
+        scores = [0.0, 0.05, 1.0, 1.05]  # close pairs: many rounds each
+        pairs = [(0, 1), (3, 2)]
+        reference = make_latent_session(scores, seed=4)
+        expected = RacingPool(reference, pairs).run_to_completion()
+
+        cache = shared(max_entries=2)
+        namespace = cache.tenant("a")
+        session = make_latent_session(scores, seed=4)
+        session.use_cache(namespace)
+        pool = RacingPool(session, pairs)
+        resolved = list(pool.initial_decisions)
+        for _ in range(3):
+            resolved.extend(pool.round())
+        # Two writes elsewhere push both raced pairs out of the LRU (the
+        # first write drains and accounts the pool's rounds).
+        namespace.append(10, 11, np.ones(3))
+        namespace.append(12, 13, np.ones(3))
+        assert namespace.count(0, 1) == namespace.count(2, 3) == 0
+        assert cache.stats()["tenants"]["a"]["evictions"] == 2
+        consumed_before = pool.n.copy()
+        while not pool.is_done:
+            resolved.extend(pool.round())
+
+        assert resolved == expected
+        for (i, j), before in zip(pairs, consumed_before.tolist()):
+            fresh = namespace.bag(i, j)
+            assert fresh.size > 0
+            assert fresh.tobytes() == reference.cache.bag(i, j)[before:].tobytes()
+            n, mean, _ = namespace.moments(i, j)
+            assert n == fresh.size
+            assert mean == pytest.approx(float(fresh.mean()))
+        assert namespace.total_samples == sum(
+            namespace.count(i, j) for i, j in namespace.pairs()
+        )
+
+    @pytest.mark.faultfree  # compares exact draws with a reference run
+    def test_reused_slot_ids_mid_race_keep_each_write_in_its_bag(self):
+        """Once evictions leave more empty slots than live ones, the
+        namespace frees them and hands their ids to new pairs, so the ids
+        a racing pool resolved at construction may name other pairs.  The
+        cache checks each id against its pair, so the pool's later rounds
+        still land in the raced pairs' bags."""
+        scores = [0.0, 0.05, 1.0, 1.05]
+        pairs = [(0, 1), (3, 2)]
+        reference = make_latent_session(scores, seed=4)
+        expected = RacingPool(reference, pairs).run_to_completion()
+
+        cache = shared(max_entries=2)
+        namespace = cache.tenant("a")
+        session = make_latent_session(scores, seed=4)
+        session.use_cache(namespace)
+        pool = RacingPool(session, pairs)
+        resolved = list(pool.initial_decisions)
+        for _ in range(3):
+            resolved.extend(pool.round())
+        for n in (10, 12, 14, 16):
+            namespace.append(n, n + 1, np.ones(3))
+        # The third write left two live slots of five, so the three empty
+        # ones were freed; the fourth write took the lowest, one of the
+        # pool's.
+        assert namespace._slot_of[(16, 17)] in pool._slots.tolist()
+        assert (0, 1) not in namespace._slot_of
+        consumed_before = pool.n.copy()
+        while not pool.is_done:
+            resolved.extend(pool.round())
+
+        assert resolved == expected
+        for (i, j), before in zip(pairs, consumed_before.tolist()):
+            fresh = namespace.bag(i, j)
+            assert fresh.tobytes() == reference.cache.bag(i, j)[before:].tobytes()
+            assert namespace.moments(i, j)[0] == fresh.size > 0
+        assert namespace.total_samples == sum(
+            namespace.count(i, j) for i, j in namespace.pairs()
+        )
+
+    def test_slot_table_follows_the_cached_pairs(self):
+        """Racing pools resolve a slot for every pair they race, written
+        or not.  Evictions free the empty slots once they outnumber the
+        live ones, and new pairs reuse the freed ids, so a long-lived
+        namespace keeps slots for about what it caches, not for every
+        pair it ever raced."""
+        cache = shared(max_entries=8)
+        namespace = cache.tenant("a")
+        for n in range(200):
+            lefts = np.arange(10, dtype=np.int64) + 100 * n
+            namespace.slot_ids(lefts, lefts + 50)  # one pool's ten pairs
+            namespace.append(100 * n, 100 * n + 50, np.ones(2))
+            if n >= 8:  # evicting from here on
+                assert len(namespace._slot_of) <= 2 * 8
+        # The first eight pools' 80 pairs came before any eviction; after
+        # that new pairs reuse freed ids (2,000 pairs were resolved).
+        assert namespace._used <= 80 + 10
+        assert cache.entries == 8
+        assert namespace.pairs() == [
+            (100 * n, 100 * n + 50) for n in range(192, 200)
+        ]
 
     def test_bounded_service_still_answers_correctly(self):
         # With a pathologically small cache the service repurchases
