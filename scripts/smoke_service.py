@@ -12,8 +12,11 @@ while they run, and waits for every submission.  Passes only when
 * all three submits exit 0 and print a ``done`` line with a top-k,
 * every query completes within its cost SLA (the submit path re-raises
   SLA breaches as non-zero exits, so exit 0 *is* the SLA check),
-* a ``/queries`` scrape listed the service block with both tenants, and
-* a ``/metrics`` scrape exposed ``service_queries_total``.
+* a ``/queries`` scrape listed the service block with both tenants,
+* a ``/metrics`` scrape exposed ``service_queries_total``, and
+* ``submit --wait`` waited on ``/result`` instead of polling it: the
+  final scrape counts at most one ``/result`` request per submit for
+  every ``RESULT_WAIT_S`` of the smoke's wall time, plus one.
 
 Run from the repository root: ``python scripts/smoke_service.py``.
 """
@@ -21,6 +24,7 @@ Run from the repository root: ``python scripts/smoke_service.py``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import re
@@ -30,7 +34,14 @@ import time
 import urllib.request
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.telemetry.server import RESULT_WAIT_S  # noqa: E402
+
 URL_LINE = re.compile(r"observatory serving at (http://\S+)")
+RESULT_REQUESTS = re.compile(
+    r'^observatory_requests_total\{route="/result"\} (\S+)$', re.MULTILINE
+)
 READY_LINE = re.compile(r"query service ready")
 STARTUP_DEADLINE_S = 60.0
 SUBMIT_TIMEOUT_S = 180
@@ -88,6 +99,7 @@ def main() -> int:
             return 1
         print(f"service at {base}")
 
+        started = time.monotonic()
         submits = [
             subprocess.Popen(
                 [sys.executable, "-m", "repro.cli", "submit",
@@ -95,7 +107,7 @@ def main() -> int:
                  "--method", "spr", "--dataset", "jester",
                  "-k", k, "--n-items", "60", "--seed", seed,
                  "--tenant", tenant, "--cost-sla", "500000",
-                 "--wait", "--poll", "0.1"],
+                 "--wait"],
                 cwd=ROOT, env=_env(),
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             )
@@ -150,6 +162,15 @@ def main() -> int:
                 failures.append(f"/queries never attributed tenant {tenant!r}")
         if "service_queries_total" not in metrics_body:
             failures.append("service_queries_total never appeared in /metrics")
+        wall_s = time.monotonic() - started
+        allowed = len(SUBMISSIONS) * (1 + math.ceil(wall_s / RESULT_WAIT_S))
+        match = RESULT_REQUESTS.search(metrics_body)
+        results = float(match.group(1)) if match else 0.0
+        if not 1 <= results <= allowed:
+            failures.append(
+                f"{results:g} /result requests in {wall_s:.1f}s; expected "
+                f"1..{allowed} from {len(SUBMISSIONS)} waiting submits"
+            )
     finally:
         serve.terminate()
         try:
@@ -164,8 +185,8 @@ def main() -> int:
         return 1
     print(
         "OK: 3 queries from 2 tenants submitted over HTTP, completed "
-        "within their SLAs; /queries attributed both tenants and /metrics "
-        "exposed service_queries_total"
+        "within their SLAs; /queries attributed both tenants, /metrics "
+        "exposed service_queries_total and /result was waited on, not polled"
     )
     return 0
 

@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a query to a running service",
         description="POST a QuerySpec document to a crowd-topk serve "
-        "instance.  Prints the assigned query id; with --wait, polls "
+        "instance.  Prints the assigned query id; with --wait, waits on "
         "/result and prints the outcome.",
     )
     submit.add_argument(
@@ -368,11 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--name", default=None, help="display name")
     submit.add_argument(
         "--wait", action="store_true",
-        help="poll /result until the query finishes and print the outcome",
-    )
-    submit.add_argument(
-        "--poll", type=float, default=0.2, metavar="SECONDS",
-        help="polling interval for --wait (default 0.2)",
+        help="wait on /result until the query finishes and print the outcome",
     )
     submit.add_argument(
         "--timeout", type=float, default=600.0, metavar="SECONDS",
@@ -886,19 +882,24 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     id = response["id"]
     deadline = time.monotonic() + args.timeout
+    # The server holds each /result open until the query finishes or its
+    # own wait runs out (202), so asking again at once paces the loop.
     while True:
         try:
             status, result = _service_request("GET", f"{server}/result?id={id}")
         except urllib.error.URLError as exc:
             print(f"error: lost {server}: {exc.reason}", file=sys.stderr)
             return 1
-        if status == 200:
+        if status != 202:
             break
         if time.monotonic() > deadline:
             print(f"error: query {id} still {result.get('status')!r} after "
                   f"{args.timeout}s", file=sys.stderr)
             return 1
-        time.sleep(args.poll)
+    if status != 200:
+        print(f"error: result of {id} refused ({status}): "
+              f"{result.get('error', result)}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0 if result.get("status") == "done" else 1

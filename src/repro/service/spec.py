@@ -19,6 +19,7 @@ in-flight query.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
@@ -80,7 +81,9 @@ class QuerySpec:
         ``tenant/method:k=K``.
     method_kwargs:
         Extra keyword arguments forwarded to the algorithm entry point
-        (must be JSON-serializable for durable queries).
+        (must be JSON-serializable for durable queries).  Bound
+        against the entry point's signature at construction, so a
+        keyword the method does not take is a :class:`ConfigError`.
     """
 
     method: str = "spr"
@@ -125,6 +128,23 @@ class QuerySpec:
                 f"comparison must be a ComparisonConfig, "
                 f"got {type(self.comparison).__name__}"
             )
+        if not isinstance(self.method_kwargs, Mapping):
+            raise ConfigError(
+                f"method_kwargs must be a mapping, "
+                f"got {type(self.method_kwargs).__name__}"
+            )
+        signature = inspect.signature(ALGORITHMS[self.method])
+        try:
+            signature.bind(None, [], self.k, **self.method_kwargs)
+        except TypeError as exc:
+            accepted = [
+                p.name for p in signature.parameters.values()
+                if p.kind is p.KEYWORD_ONLY
+            ]
+            raise ConfigError(
+                f"bad method_kwargs for {self.method!r} ({exc}); "
+                f"accepted keywords: {accepted or 'none'}"
+            ) from None
 
     # ------------------------------------------------------------------
     @property

@@ -27,6 +27,8 @@ tenant, SLAs, status, live progress, plus cache/marketplace/admission
 totals), and three service routes open up — ``POST /submit`` (a
 :class:`~repro.service.QuerySpec` document in the body, the new query id
 in the response), ``POST /cancel?id=...``, and ``GET /result?id=...``.
+``/result`` holds the request open until the query finishes (at most
+:data:`RESULT_WAIT_S`), so a client needs no polling loop of its own.
 """
 
 from __future__ import annotations
@@ -47,6 +49,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .registry import MetricsRegistry
 
 __all__ = ["QueryBoard", "ObservatoryServer", "get_query_board", "parse_address"]
+
+#: Longest ``GET /result`` waits for its query to finish before replying
+#: 202 with the pending document; a finished query replies 200 at once.
+RESULT_WAIT_S = 1.0
+#: Largest request body read; a longer ``Content-Length`` gets 413 unread.
+MAX_BODY_BYTES = 1 << 20
+#: Seconds a connection may sit silent, or stall mid-request, before the
+#: server closes it and frees its handler thread.
+IDLE_TIMEOUT_S = 30.0
 
 
 def parse_address(spec: str) -> tuple[str, int]:
@@ -134,6 +145,7 @@ class _Handler(BaseHTTPRequestHandler):
     # of every response after the first on a kept-alive connection waits
     # for the client's delayed ACK (~40 ms).
     disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         split = urlsplit(self.path)
@@ -194,6 +206,14 @@ class _Handler(BaseHTTPRequestHandler):
             length = 0
         if length <= 0:
             return {}
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            self._send_json(413, {
+                "error": f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
+            })
+            return None
         try:
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
@@ -262,7 +282,8 @@ class _Handler(BaseHTTPRequestHandler):
         handle = self._lookup_handle(query)
         if handle is None:
             return
-        self._send_json(200 if handle.done else 202, handle.to_document())
+        done = handle.wait(RESULT_WAIT_S)
+        self._send_json(200 if done else 202, handle.to_document())
 
     def _send_json(self, status: int, payload: dict) -> None:
         self._send(status, json.dumps(payload, default=_jsonable) + "\n",
@@ -273,6 +294,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service import QueryService
+from repro.telemetry import MetricsRegistry, ObservatoryServer
+from repro.telemetry import server as server_module
 
 
 class TestParser:
@@ -23,6 +26,10 @@ class TestParser:
     def test_experiment_rejects_unknown_name(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "table99"])
+
+    def test_submit_has_no_poll_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", "--wait", "--poll", "0.1"])
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit):
@@ -74,6 +81,28 @@ class TestCommands:
     def test_experiment_peopleage(self, capsys):
         assert main(["experiment", "peopleage", "--runs", "1"]) == 0
         assert "PeopleAge" in capsys.readouterr().out
+
+
+class TestSubmitCommand:
+    @pytest.mark.parametrize("wait_s", [server_module.RESULT_WAIT_S, 0.01])
+    def test_wait_prints_the_outcome(self, capsys, monkeypatch, wait_s):
+        # A short server wait makes the client re-ask after 202s.
+        monkeypatch.setattr(server_module, "RESULT_WAIT_S", wait_s)
+        with QueryService(max_workers=1, registry=MetricsRegistry()) as service:
+            with ObservatoryServer(
+                registry=service.registry, service=service
+            ) as observatory:
+                code = main([
+                    "submit", "--server", observatory.url,
+                    "--method", "bdp", "--dataset", "synthetic", "-k", "3",
+                    "--n-items", "12", "--seed", "7", "--tenant", "acme",
+                    "--wait",
+                ])
+        assert code == 0
+        handle = service.handle("q0001")
+        out = capsys.readouterr().out
+        assert f"q0001 done: top-3 = {list(handle.outcome.topk)}" in out
+        assert f"TMC: {handle.outcome.cost:,} microtasks" in out
 
 
 class TestPlanCommand:

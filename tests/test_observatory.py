@@ -3,6 +3,7 @@
 import http.client
 import json
 import re
+import socket
 import statistics
 import threading
 import time
@@ -21,6 +22,7 @@ from repro.telemetry import (
     parse_address,
     use_registry,
 )
+from repro.telemetry import server as server_module
 from tests.conftest import make_latent_session
 from tests.test_telemetry import PROMETHEUS_LINE
 
@@ -184,6 +186,20 @@ class TestServerLifecycle:
             obs.stop()
         assert not obs.running
         obs.stop()  # second stop is a no-op
+
+    def test_silent_and_stalled_connections_are_closed(self, monkeypatch):
+        assert server_module._Handler.timeout == server_module.IDLE_TIMEOUT_S
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+        with ObservatoryServer(registry=MetricsRegistry()) as obs:
+            for sent in (b"", b"GET /healthz HTTP/1.1\r\nHost: x"):
+                with socket.create_connection(("127.0.0.1", obs.port)) as sock:
+                    sock.sendall(sent)
+                    sock.settimeout(10.0)
+                    started = time.monotonic()
+                    assert sock.recv(1024) == b""  # closed by the server
+                    assert time.monotonic() - started < 5.0
+            # The freed threads leave the server answering.
+            assert _get(obs.url + "/healthz")[0] == 200
 
     def test_events_without_recorder_is_empty(self):
         with ObservatoryServer(registry=MetricsRegistry()) as obs:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import pathlib
@@ -31,6 +32,8 @@ from repro.service import (
     spec_from_document,
 )
 from repro.telemetry import MetricsRegistry, ObservatoryServer
+from repro.telemetry import server as server_module
+from repro.telemetry.server import MAX_BODY_BYTES
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -67,6 +70,17 @@ class TestQuerySpec:
         spec = BASE.with_(latency_sla=50, name="night-batch")
         revived = spec_from_document(spec.to_document())
         assert revived == spec
+
+    def test_rejects_method_kwargs_the_method_does_not_take(self):
+        with pytest.raises(ConfigError, match=r"\['step', 'window'\]"):
+            BASE.with_(method="pbr", method_kwargs={"steps": 2})
+        with pytest.raises(ConfigError, match="accepted keywords: none"):
+            spec_from_document(
+                {"method": "tournament", "method_kwargs": {"nope": 1}}
+            )
+        with pytest.raises(ConfigError):
+            BASE.with_(method_kwargs={"k": 4})
+        assert BASE.with_(method="pbr", method_kwargs={"step": 2}).method_kwargs
 
     def test_document_rejects_unknown_fields(self):
         # ``execution`` was a spec field once; documents persisted then
@@ -348,6 +362,7 @@ class TestServiceOverHttp:
                 for body in (
                     {"method": "nope"},
                     {"method": "spr", "execution": {"run_engine": "pool"}},
+                    {"method": "tournament", "method_kwargs": {"nope": 1}},
                 ):
                     request = urllib.request.Request(
                         f"{observatory.url}/submit",
@@ -356,7 +371,104 @@ class TestServiceOverHttp:
                     )
                     with pytest.raises(urllib.error.HTTPError) as caught:
                         urllib.request.urlopen(request)
+                    caught.value.close()
                     assert caught.value.code == 400
+            assert service.handles() == []
+
+    def test_oversized_body_is_413_unread(self):
+        with make_service(max_workers=1) as service:
+            with ObservatoryServer(
+                registry=service.registry, service=service
+            ) as observatory:
+                conn = http.client.HTTPConnection("127.0.0.1", observatory.port,
+                                                  timeout=30)
+                try:
+                    # Headers only: the server must answer without waiting
+                    # for a body it will never read.
+                    conn.putrequest("POST", "/submit")
+                    conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+                    conn.endheaders()
+                    response = conn.getresponse()
+                    assert response.status == 413
+                    assert "exceeds" in json.load(response)["error"]
+                    assert response.getheader("Connection") == "close"
+                finally:
+                    conn.close()
+        assert service.handles() == []
+
+    def test_result_waits_for_a_running_query(self, monkeypatch):
+        monkeypatch.setattr(server_module, "RESULT_WAIT_S", 120.0)
+        with make_service(max_workers=1) as service:
+            with ObservatoryServer(
+                registry=service.registry, service=service
+            ) as observatory:
+                handle = service.submit(
+                    BASE.with_(method="bdp", n_items=15, tenant="slow")
+                )
+                while handle.status() == "queued":
+                    time.sleep(0.005)
+                assert not handle.done
+                status, result = _http(observatory.url, "GET",
+                                       f"/result?id={handle.id}")
+                assert status == 200
+                assert result["status"] == "done"
+                assert result["topk"] == list(handle.outcome.topk)
+                assert service.registry.counter_value(
+                    "observatory_requests_total", route="/result"
+                ) == 1
+
+    def test_parked_query_gets_202_once_the_wait_runs_out(self, monkeypatch):
+        monkeypatch.setattr(server_module, "RESULT_WAIT_S", 0.05)
+        with make_service(max_workers=1, capacity=500_000) as service:
+            with ObservatoryServer(
+                registry=service.registry, service=service
+            ) as observatory:
+                running = service.submit(
+                    BASE.with_(method="bdp", n_items=25, tenant="slow")
+                )
+                parked = service.submit(BASE.with_(seed=2))
+                started = time.monotonic()
+                status, pending = _http(observatory.url, "GET",
+                                        f"/result?id={parked.id}")
+                assert time.monotonic() - started >= 0.05
+                assert status == 202
+                assert pending == parked.to_document()
+                assert pending["status"] == "queued"
+                parked.cancel()
+                running.cancel()
+
+    def test_cancel_wakes_a_waiting_result(self, monkeypatch):
+        monkeypatch.setattr(server_module, "RESULT_WAIT_S", 120.0)
+        with make_service(max_workers=1) as service:
+            with ObservatoryServer(
+                registry=service.registry, service=service
+            ) as observatory:
+                handle = service.submit(
+                    BASE.with_(method="bdp", n_items=25, tenant="slow")
+                )
+                replies: list = []
+                waiter = threading.Thread(target=lambda: replies.append(
+                    _http(observatory.url, "GET", f"/result?id={handle.id}")
+                ))
+                waiter.start()
+                while service.registry.counter_value(
+                    "observatory_requests_total", route="/result"
+                ) < 1 or handle.status() == "queued":
+                    time.sleep(0.005)
+                status, cancelled = _http(observatory.url, "POST",
+                                          f"/cancel?id={handle.id}")
+                assert status == 200 and cancelled["cancelled"]
+                waiter.join(timeout=30)
+                assert not waiter.is_alive()
+                assert replies == [(200, handle.to_document())]
+                assert replies[0][1]["status"] == "cancelled"
+
+
+def _http(url: str, method: str, path: str) -> tuple[int, dict]:
+    """(status, JSON reply) of one request answered with a 2xx status."""
+    request = urllib.request.Request(f"{url}{path}", method=method)
+    with urllib.request.urlopen(request, timeout=60) as response:
+        return response.status, json.load(response)
 
 
 # ----------------------------------------------------------------------
