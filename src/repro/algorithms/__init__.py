@@ -16,12 +16,13 @@ from .hybrid import hybrid_spr_topk, hybrid_topk
 from .infimum import infimum_estimate
 from .pbr import pbr_topk
 from .quickselect import quickselect_topk
-from .spr_adapter import spr_adapter
+from .spr_adapter import resume_spr_adapter, spr_adapter
 from .tournament import tournament_topk
 
 __all__ = [
     "ALGORITHMS",
     "BDPRanker",
+    "RESUMERS",
     "TopKOutcome",
     "bdp_topk",
     "borda_topk",
@@ -48,4 +49,12 @@ ALGORITHMS = {
     "quickselect": quickselect_topk,
     "pbr": pbr_topk,
     "fullsort": fullsort_topk,
+}
+
+#: Methods that can finish a query from a restored checkpoint, each mapped
+#: to ``session -> TopKOutcome``.  Every other method restarts from scratch
+#: (deterministically, same seed) after a crash.
+RESUMERS = {
+    "spr": resume_spr_adapter,
+    "bdp": resume_bdp_topk,
 }

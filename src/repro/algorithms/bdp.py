@@ -381,7 +381,9 @@ def resume_bdp_topk(session: "CrowdSession") -> TopKOutcome:
         boundary_pad=int(doc["boundary_pad"]),
     )
     spent_before = (int(doc["cost_before"]), int(doc["rounds_before"]))
-    return _run(session, state, int(doc["k"]), ranker.stopping, ranker, spent_before)
+    outcome = _run(session, state, int(doc["k"]), ranker.stopping, ranker, spent_before)
+    outcome.extras["resumed"] = True
+    return outcome
 
 
 def _run(

@@ -5,13 +5,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..config import SPRConfig
-from ..core.spr import spr_topk
+from ..core.spr import resume_spr_topk, spr_topk
 from .base import TopKOutcome, measured, validate_query
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..crowd.session import CrowdSession
 
-__all__ = ["spr_adapter"]
+__all__ = ["resume_spr_adapter", "spr_adapter"]
 
 
 def spr_adapter(
@@ -52,3 +52,13 @@ def spr_adapter(
             len(result.partition_result.losers),
         )
     return measured("spr", session, list(result.topk), before, extras)
+
+
+def resume_spr_adapter(session: "CrowdSession") -> TopKOutcome:
+    """Finish a checkpointed SPR query and wrap it like :func:`spr_adapter`.
+
+    The restored session's ledgers already hold the killed run's spend,
+    so the outcome's cost and rounds are the whole query's.
+    """
+    result = resume_spr_topk(session)
+    return measured("spr", session, list(result.topk), (0, 0), {"resumed": True})

@@ -59,8 +59,7 @@ import sys
 from collections.abc import Sequence
 
 from . import __version__
-from .algorithms import ALGORITHMS, resume_bdp_topk
-from .core.spr import resume_spr_topk
+from .algorithms import ALGORITHMS, RESUMERS
 from .crowd.session import CrowdSession
 from .datasets import DATASET_NAMES, load_dataset
 from .experiments import (
@@ -154,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--checkpoint", metavar="PATH", default=None,
         help="atomically checkpoint the query to PATH at round boundaries "
-        "(spr and bdp); pair with --resume to continue a killed run",
+        f"({' and '.join(RESUMERS)}); pair with --resume to continue a "
+        "killed run",
     )
     query.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="ROUNDS",
@@ -388,13 +388,38 @@ def _cmd_datasets(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec_from_args(args: argparse.Namespace) -> QuerySpec:
+    """The :class:`QuerySpec` a ``query`` or ``explain`` command line asks.
+
+    The one-shot commands are thin adapters over the same QuerySpec
+    dispatch the service uses, so the doors cannot drift apart.
+    """
+    params = ExperimentParams(
+        dataset=args.dataset,
+        n_items=args.n_items,
+        k=args.k,
+        confidence=args.confidence,
+        budget=args.budget,
+        n_runs=1,
+        seed=args.seed,
+    )
+    return QuerySpec(
+        method=args.method,
+        k=args.k,
+        dataset=args.dataset,
+        n_items=args.n_items,
+        comparison=params.comparison_config(),
+        seed=args.seed,
+    )
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint PATH", file=sys.stderr)
         return 2
-    if args.resume and args.method not in ("spr", "bdp"):
-        print("error: --resume only supports --method spr or bdp",
-              file=sys.stderr)
+    if args.resume and args.method not in RESUMERS:
+        print("error: --resume supports only --method "
+              + " or ".join(RESUMERS), file=sys.stderr)
         return 2
     serve_address = None
     if args.serve:
@@ -465,39 +490,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 working = dataset.items.restrict(query_state["items"])
                 k = int(query_state["k"])
                 session.enable_checkpoints(args.checkpoint, args.checkpoint_every)
-                resume_query = (
-                    resume_spr_topk if args.method == "spr" else resume_bdp_topk
-                )
 
                 def run() -> object:
-                    return resume_query(session)
+                    return RESUMERS[args.method](session)
             else:
-                params = ExperimentParams(
-                    dataset=args.dataset,
-                    n_items=args.n_items,
-                    k=args.k,
-                    confidence=args.confidence,
-                    budget=args.budget,
-                    n_runs=1,
-                    seed=args.seed,
-                )
-                # The one-shot CLI is a thin adapter over the same
-                # QuerySpec dispatch the service uses, so the two doors
-                # cannot drift apart.
-                spec = QuerySpec(
-                    method=args.method,
-                    k=args.k,
-                    dataset=args.dataset,
-                    n_items=args.n_items,
-                    comparison=params.comparison_config(),
-                    seed=args.seed,
-                )
-                session, _ = session_for(spec, registry)
+                spec = _spec_from_args(args)
+                session, items = session_for(spec, registry)
                 if args.checkpoint:
                     session.enable_checkpoints(
                         args.checkpoint, args.checkpoint_every
                     )
-                items = working.ids.tolist()
 
                 def run() -> object:
                     return execute_spec(session, spec, items)
@@ -540,22 +542,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset)
-    working = dataset.sample_items(args.n_items)
-    params = ExperimentParams(
-        dataset=args.dataset,
-        n_items=args.n_items,
-        k=args.k,
-        confidence=args.confidence,
-        budget=args.budget,
-        n_runs=1,
-        seed=args.seed,
-    )
+    spec = _spec_from_args(args)
     with use_registry(MetricsRegistry()) as registry:
-        session = dataset.session(params.comparison_config(), seed=args.seed)
-        algorithm = ALGORITHMS[args.method]
+        session, items = session_for(spec, registry)
         with trace_session(session) as trace:
-            outcome = algorithm(session, working.ids.tolist(), args.k)
+            outcome = execute_spec(session, spec, items)
         report = explain_query(
             session,
             trace,

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..algorithms import ALGORITHMS, resume_bdp_topk
+from ..algorithms import ALGORITHMS, RESUMERS
 from ..algorithms.base import TopKOutcome
-from ..core.spr import resume_spr_topk
 from ..datasets import load_dataset
 from .spec import QuerySpec
 
@@ -74,31 +73,14 @@ def execute_spec(
 def resume_session(session: "CrowdSession", spec: QuerySpec) -> TopKOutcome:
     """Continue ``spec`` on a session restored from its checkpoint.
 
-    Only ``spr`` and ``bdp`` carry resumable query state; the restored
-    session's ``restored_state`` must hold it (the service guarantees
-    this by pairing each checkpoint with its spec document).
+    Only the methods in :data:`~repro.algorithms.RESUMERS` carry
+    resumable query state; the restored session's ``restored_state`` must
+    hold it (the service guarantees this by pairing each checkpoint with
+    its spec document).
     """
-    if spec.method == "spr":
-        result = resume_spr_topk(session)
-        return TopKOutcome(
-            method="spr",
-            topk=list(result.topk),
-            cost=session.total_cost,
-            rounds=session.total_rounds,
-            extras={"resumed": True},
-        )
-    if spec.method == "bdp":
-        outcome = resume_bdp_topk(session)
-        extras = dict(outcome.extras)
-        extras["resumed"] = True
-        return TopKOutcome(
-            method=outcome.method,
-            topk=outcome.topk,
-            cost=outcome.cost,
-            rounds=outcome.rounds,
-            extras=extras,
-        )
-    raise ValueError(f"method {spec.method!r} does not support resume")
+    if spec.method not in RESUMERS:
+        raise ValueError(f"method {spec.method!r} does not support resume")
+    return RESUMERS[spec.method](session)
 
 
 def run_query(

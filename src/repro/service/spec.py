@@ -23,7 +23,7 @@ import inspect
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
-from ..algorithms import ALGORITHMS
+from ..algorithms import ALGORITHMS, RESUMERS
 from ..config import ComparisonConfig, comparison_config_from_dict
 from ..errors import ConfigError
 
@@ -31,11 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datasets.base import Dataset
 
 __all__ = ["QuerySpec", "spec_from_document"]
-
-#: Methods with a checkpoint-resume entry point; every other method
-#: restarts from scratch (deterministically, same seed) after a crash.
-RESUMABLE_METHODS = ("spr", "bdp")
-
 
 @dataclass(frozen=True)
 class QuerySpec:
@@ -157,7 +152,7 @@ class QuerySpec:
     @property
     def resumable(self) -> bool:
         """Whether the method supports checkpoint resume."""
-        return self.method in RESUMABLE_METHODS
+        return self.method in RESUMERS
 
     def resolve_items(self, dataset: "Dataset") -> list[int]:
         """The concrete working-set ids for this spec over ``dataset``.

@@ -109,22 +109,6 @@ class FlightRecorder:
             self._seq += 1
             self._ring.append({"seq": self._seq, "t": self._clock(), **event})
 
-    def record_many(self, events: list[dict]) -> None:
-        """Capture a batch of structured events under one lock round-trip.
-
-        The batched twin of :meth:`record` for coalesced per-round feeds:
-        events receive consecutive sequence numbers and one shared
-        timestamp, exactly as if :meth:`record` had been called back to
-        back within a single clock tick.
-        """
-        if not events:
-            return
-        with self._lock:
-            stamp = self._clock()
-            for event in events:
-                self._seq += 1
-                self._ring.append({"seq": self._seq, "t": stamp, **event})
-
     def record_comparison(
         self, session: "CrowdSession", record: "ComparisonRecord"
     ) -> None:

@@ -1,9 +1,12 @@
 """The crowd-topk command-line interface."""
 
+import re
+
 import pytest
 
-from repro.cli import build_parser, main
-from repro.service import QueryService
+from repro.algorithms import ALGORITHMS, RESUMERS
+from repro.cli import _spec_from_args, build_parser, main
+from repro.service import QueryService, execute_spec, run_query, session_for
 from repro.telemetry import MetricsRegistry, ObservatoryServer
 from repro.telemetry import server as server_module
 
@@ -81,6 +84,55 @@ class TestCommands:
     def test_experiment_peopleage(self, capsys):
         assert main(["experiment", "peopleage", "--runs", "1"]) == 0
         assert "PeopleAge" in capsys.readouterr().out
+
+
+class _Killed(Exception):
+    """Stands in for a crash part-way through a query."""
+
+
+class TestResume:
+    def test_non_resumable_method_is_refused_naming_the_table(
+        self, tmp_path, capsys
+    ):
+        code = main([
+            "query", "--method", "tournament",
+            "--checkpoint", str(tmp_path / "q.ckpt"), "--resume",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        named = {m for m in ALGORITHMS if re.search(rf"\b{m}\b", err)}
+        assert named == set(RESUMERS)
+
+    @pytest.mark.parametrize("method", sorted(RESUMERS))
+    def test_resume_prints_what_the_uninterrupted_query_prints(
+        self, method, tmp_path, capsys
+    ):
+        argv = [
+            "query", "--dataset", "jester", "--method", method, "-k", "3",
+            "--n-items", "20", "--budget", "300", "--seed", "2",
+        ]
+        assert main(argv) == 0
+        uninterrupted = capsys.readouterr().out
+
+        # Crash the same query half-way through its spend, checkpointing
+        # every round, then finish it from the checkpoint through the CLI.
+        spec = _spec_from_args(build_parser().parse_args(argv))
+        half = run_query(spec).cost // 2
+        path = tmp_path / "q.ckpt"
+        session, items = session_for(spec)
+        session.enable_checkpoints(path, every=1)
+
+        def crash(session, _record):
+            if session.total_cost > half:
+                raise _Killed
+
+        session.add_compare_listener(crash)
+        with pytest.raises(_Killed):
+            execute_spec(session, spec, items)
+        assert path.exists()
+
+        assert main(argv + ["--checkpoint", str(path), "--resume"]) == 0
+        assert capsys.readouterr().out == uninterrupted
 
 
 class TestSubmitCommand:

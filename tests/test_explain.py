@@ -124,3 +124,17 @@ class TestCliExplain:
         on_disk = json.loads(out_path.read_text())
         assert printed == on_disk
         assert printed["k"] == 3
+
+    def test_explain_answers_what_run_query_answers(self, capsys):
+        from repro.cli import _spec_from_args, build_parser, main
+        from repro.service import run_query
+
+        argv = [
+            "explain", "--dataset", "jester", "--method", "bdp", "-k", "3",
+            "--n-items", "15", "--budget", "300", "--seed", "4",
+        ]
+        assert main(argv + ["--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        outcome = run_query(_spec_from_args(build_parser().parse_args(argv)))
+        assert printed["topk"] == list(outcome.topk)
+        assert printed["total_cost"] == outcome.cost

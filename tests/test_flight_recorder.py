@@ -114,34 +114,3 @@ class TestDumps:
         with recorder.guard(out):
             pass
         assert not out.exists()
-
-
-class TestRecordMany:
-    def test_batch_equals_back_to_back_records(self):
-        batched = FlightRecorder(capacity=8, clock=lambda: 5.0)
-        sequential = FlightRecorder(capacity=8, clock=lambda: 5.0)
-        events = [{"type": "pool_round", "round": i} for i in range(3)]
-        batched.record_many(events)
-        for event in events:
-            sequential.record(event)
-        assert batched.tail() == sequential.tail()
-        assert batched.events_seen == 3
-
-    def test_batch_shares_one_timestamp_and_sequences(self):
-        ticks = iter([1.0, 2.0, 3.0])
-        recorder = FlightRecorder(capacity=4, clock=lambda: next(ticks))
-        recorder.record_many([{"type": "a"}, {"type": "b"}])
-        a, b = recorder.tail()
-        assert (a["seq"], b["seq"]) == (1, 2)
-        assert a["t"] == b["t"] == 1.0
-
-    def test_empty_batch_records_nothing(self):
-        recorder = FlightRecorder(capacity=4)
-        recorder.record_many([])
-        assert recorder.events_seen == 0
-
-    def test_ring_eviction_applies_within_a_batch(self):
-        recorder = FlightRecorder(capacity=2, clock=lambda: 0.0)
-        recorder.record_many([{"type": "e", "i": i} for i in range(5)])
-        assert [event["i"] for event in recorder.tail()] == [3, 4]
-        assert recorder.events_seen == 5
