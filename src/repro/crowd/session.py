@@ -18,10 +18,12 @@ import numpy as np
 from ..config import ComparisonConfig, comparison_config_from_dict
 from ..core.cache import JudgmentCache
 from ..core.comparison import Comparator, ComparisonRecord
+from ..core.estimators import SequentialTester, make_tester
 from ..core.outcomes import Outcome
 from ..rng import make_rng
 from ..telemetry import MetricsRegistry, get_registry
 from .faults import FaultInjector
+from .group import plan_group, race_planned
 from .ledger import CostLedger, LatencyLedger
 from .oracle import JudgmentOracle
 
@@ -78,6 +80,8 @@ class CrowdSession:
         self._telemetry = telemetry
         self._compare_listeners: list[CompareListener] = []
         self._instrument_cache: tuple | None = None
+        self._racing_cache: tuple | None = None
+        self._counter_cache: tuple | None = None
         self._state_providers: dict[str, StateProvider] = {}
         self._progress_providers: dict[str, StateProvider] = {}
         self._checkpoint_path: str | os.PathLike | None = None
@@ -121,6 +125,34 @@ class CrowdSession:
             )
             self._instrument_cache = cached
         return cached
+
+    def _counter_handles(self, registry: MetricsRegistry) -> dict:
+        """Counter handles by name and labels in ``registry``, shared by
+        the session's racing pools; each pool adds a handle the first time
+        it uses one, so creation still happens on first use."""
+        cached = self._counter_cache
+        if cached is None or cached[0] is not registry:
+            cached = self._counter_cache = (registry, {})
+        return cached[1]
+
+    def _racing_kit(
+        self, config: ComparisonConfig
+    ) -> tuple[SequentialTester, FaultInjector | None]:
+        """The stopping-rule tester for ``config`` and the fault injector
+        (``None`` unless the platform injects faults), which every racing
+        pool of the session shares: pools use the tester's vectorized
+        rule only, never its streaming state."""
+        cached = self._racing_cache
+        oracle = self.oracle
+        if cached is None or cached[0] is not config or cached[1] is not oracle:
+            injector = (
+                oracle
+                if isinstance(oracle, FaultInjector) and oracle.enabled
+                else None
+            )
+            tester = make_tester(config, oracle.value_range)
+            cached = self._racing_cache = (config, oracle, tester, injector)
+        return cached[2], cached[3]
 
     def add_compare_listener(self, listener: CompareListener) -> None:
         """Subscribe to every :meth:`compare` record (idempotent).
@@ -236,51 +268,41 @@ class CrowdSession:
         members' rounds; see docs/performance.md for when the two round
         schedules differ.
         """
-        pairs = [(int(i), int(j)) for i, j in pairs]
-        if not pairs:
+        group = plan_group(pairs)  # rejects self-pairs before the ledgers see them
+        count = len(group.lefts)
+        if not count:
             return []
-        for left, right in pairs:
-            if left == right:  # reject before the ledgers see the group
-                raise ValueError(f"cannot compare item {left} with itself")
         instruments = self._instruments()
         _, comparisons, _, cache_hits, ties, workload = instruments[:6]
         racing = self.config.group_engine == "racing"
         instruments[6 if racing else 7].inc()
         if not racing:
-            records = [self.compare(i, j, charge_latency=False) for i, j in pairs]
+            records = [
+                self.compare(i, j, charge_latency=False)
+                for i, j in zip(group.lefts, group.rights)
+            ]
             if charge_latency:
                 self.latency.add_parallel([r.rounds for r in records])
             return records
 
-        from .group import race_group  # deferred: group imports the pool
-
-        self.cost.begin_comparisons(len(pairs))
-        raced = race_group(self, pairs)
-        records = [record for record, _ in raced]
+        self.cost.begin_comparisons(count)
+        records, tally = race_planned(self, group)
         # One batched update per instrument for the whole group.  The
         # pool already counted its own cache replays and raced budget
         # ties; count only what it could not see — repeated pairs inside
         # the group and ties decided from the cache.
-        workloads = []
-        replay_hits = 0
-        cached_ties = 0
-        for record, fresh in raced:
-            workloads.append(record.workload)
-            if not fresh and record.cost == 0 and record.workload > 0:
-                replay_hits += 1
-            if record.outcome is Outcome.TIE and (not fresh or record.cost == 0):
-                cached_ties += 1
-        comparisons.add(len(raced))
-        workload.observe_many(workloads)
-        if replay_hits:
-            cache_hits.add(replay_hits)
-        if cached_ties:
-            ties.add(cached_ties)
+        comparisons.add(count)
+        workload.observe_many(tally.workloads)
+        if tally.replay_hits:
+            cache_hits.add(tally.replay_hits)
+        if tally.cached_ties:
+            ties.add(tally.cached_ties)
         if charge_latency:
-            self.latency.add_parallel([r.rounds for r in records])
-        for record in records:
-            for listener in self._compare_listeners:
-                listener(self, record)
+            self.latency.add(tally.rounds)
+        if self._compare_listeners:
+            for record in records:
+                for listener in self._compare_listeners:
+                    listener(self, record)
         return records
 
     def moments(self, i: int, j: int) -> tuple[int, float, float]:
@@ -534,6 +556,8 @@ class CrowdSession:
         clone._telemetry = self._telemetry
         clone._compare_listeners = []  # traces attach per-session, not per-bill
         clone._instrument_cache = None
+        clone._racing_cache = None
+        clone._counter_cache = None
         clone._state_providers = {}  # checkpoints are the root session's job
         clone._progress_providers = {}  # likewise the live-progress roster
         clone._checkpoint_path = None

@@ -20,6 +20,7 @@ top-``⌊ck⌋`` hit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,6 +98,7 @@ class SamplingPlan:
     comparisons: int
 
 
+@functools.lru_cache(maxsize=256)
 def solve_sampling_plan(
     n_items: int, k: int, c: float, comparison_budget: int | None = None
 ) -> SamplingPlan:
@@ -108,6 +110,10 @@ def solve_sampling_plan(
     partitioning cost).  Ties in probability are broken toward the cheaper
     plan.  Enumeration is cheap: ``m`` ranges over ``O(sqrt(budget))`` odd
     values and ``x`` is swept vectorized per ``m``.
+
+    The plan depends on the arguments alone and is frozen, so solved plans
+    are memoized and shared: every SPR query over the same ``(N, k)``
+    would otherwise repeat the enumeration (milliseconds at ``N`` ~ 1000).
     """
     if n_items < 2:
         raise ValueError(f"need at least 2 items to sample from, got {n_items}")

@@ -30,6 +30,7 @@ import math
 import random
 import threading
 import time
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -181,8 +182,10 @@ class Histogram:
         self.max = -math.inf
         self._cap = reservoir if reservoir is not None else self.RESERVOIR
         self._values: list[float] = []
-        # Deterministic reservoir choices keep snapshots reproducible.
-        self._rng = random.Random(0x5EED ^ hash(name) & 0xFFFF)
+        # Deterministic reservoir choices keep snapshots reproducible.  The
+        # seed hashes the name with crc32, not hash(): str hashes change
+        # from process to process.
+        self._rng = random.Random(0x5EED ^ zlib.crc32(name.encode()) & 0xFFFF)
 
     def observe(self, value: float) -> None:
         """Record one observation."""

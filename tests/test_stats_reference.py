@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import load_dataset
+from repro.core.spr.select import select_reference
+
 from repro.stats.reference import (
     SamplingPlan,
     hit_probability,
@@ -100,3 +103,14 @@ class TestSolveSamplingPlan:
     def test_small_n(self):
         plan = solve_sampling_plan(5, 2, 1.5)
         assert plan.comparisons <= 5
+
+    def test_plans_are_memoized(self):
+        solve_sampling_plan.cache_clear()
+        dataset = load_dataset("jester")
+        items = dataset.items.ids.tolist()[:60]
+        first = select_reference(dataset.session(seed=1), items, 5)
+        hits = solve_sampling_plan.cache_info().hits
+        second = select_reference(dataset.session(seed=2), items, 5)
+        assert second.plan == first.plan
+        assert second.plan is first.plan
+        assert solve_sampling_plan.cache_info().hits == hits + 1

@@ -138,8 +138,11 @@ class TestHistogram:
         for value in values:
             hist.observe(value)
         assert hist.count == 20_000
-        assert hist.quantile(0.5) == pytest.approx(0.5, abs=0.08)
-        assert hist.quantile(0.95) == pytest.approx(0.95, abs=0.08)
+        # The reservoir's seed is fixed by the name, so this stream always
+        # keeps the same sample: it reads 0.5049 and 0.9536.  The bound is
+        # well under one standard error of a 256-sample median (~0.03).
+        assert hist.quantile(0.5) == pytest.approx(0.5, abs=0.02)
+        assert hist.quantile(0.95) == pytest.approx(0.95, abs=0.02)
 
     def test_empty_histogram_is_nan(self):
         assert math.isnan(Histogram("h").quantile(0.5))
