@@ -245,7 +245,11 @@ class HistogramOracle(JudgmentOracle):
             (np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64))
         )
         if not self._dense_ids or (
-            rows.size and (rows.min() < 0 or rows.max() >= len(self._cdf))
+            rows.size
+            and (
+                np.minimum.reduce(rows) < 0
+                or np.maximum.reduce(rows) >= len(self._cdf)
+            )
         ):
             # Sparse ids, or an unknown id: the checked per-item lookup
             # maps the rows or raises OracleError (no RNG consumed yet).
@@ -254,21 +258,21 @@ class HistogramOracle(JudgmentOracle):
         # sampling the left rows and then the right rows.  Each side keeps
         # its own shifts and search (see _sample_ratings): the shifted sums
         # round differently at larger shifts, so every index matches.
-        m, n_support = len(rows) // 2, len(self._support)
+        support = self._support
+        m, n_support = len(rows) // 2, len(support)
         u = rng.random((2 * m, size)).reshape(2, m, size)
-        shift = 2.0 * np.arange(m)[:, None]
+        lanes = np.arange(m)[:, None]
+        shift = 2.0 * lanes
         u += shift
         cdf = self._cdf[rows].reshape(2, m, n_support)
         cdf += shift
-        offsets = np.arange(m)[:, None] * n_support
+        offsets = lanes * n_support
         left_idx, right_idx = (
-            np.searchsorted(cdf[side].ravel(), u[side].ravel(), side="left").reshape(
-                m, size
-            )
+            cdf[side].ravel().searchsorted(u[side].ravel()).reshape(m, size)
             - offsets
             for side in (0, 1)
         )
-        return self._support[left_idx] - self._support[right_idx]
+        return support[left_idx] - support[right_idx]
 
     @property
     def supports_rating(self) -> bool:
@@ -345,19 +349,22 @@ class UserTableOracle(JudgmentOracle):
         )
         col_arr = self._col_arr
         if col_arr is not None and (
-            ids.size == 0 or (ids.min() >= 0 and ids.max() < col_arr.size)
+            not ids.size
+            or (
+                np.minimum.reduce(ids) >= 0
+                and np.maximum.reduce(ids) < col_arr.size
+            )
         ):
             cols = col_arr[ids]
         else:
             # Sparse ids, or an unknown id: the checked per-item lookup
             # maps the columns or raises OracleError (no RNG consumed yet).
             cols = np.asarray([self._col(i) for i in ids.tolist()], dtype=np.intp)
-        cols_left, cols_right = cols[: len(ids) // 2], cols[len(ids) // 2 :]
-        users = rng.integers(0, self.n_users, size=(len(cols_left), size))
-        return (
-            self._ratings[users, cols_left[:, None]]
-            - self._ratings[users, cols_right[:, None]]
-        )
+        # Row 0 holds the left items' columns, row 1 the right items'.
+        cols = cols.reshape(2, -1, 1)
+        ratings = self._ratings
+        users = rng.integers(0, ratings.shape[0], size=(cols.shape[1], size))
+        return ratings[users, cols[0]] - ratings[users, cols[1]]
 
     @property
     def supports_rating(self) -> bool:

@@ -163,6 +163,34 @@ class TestStudentTester:
                 self._reference_codes(alpha, n, mean, s2),
             )
 
+    def test_decision_code_tables_cover_every_count(self):
+        # The per-n lookup tables against the textbook form: n = 0 and 1
+        # (no variance), n = 2 (the first variance), the cold-start
+        # workload, counts past the tables' first size, which makes them
+        # grow, and NaN means.  An alpha no other test uses starts the
+        # tables small.  No cell may raise a floating-point warning.
+        alpha, min_workload = 0.0731, 5
+        tester = StudentTester(alpha=alpha, min_workload=min_workload)
+        rng = np.random.default_rng(21)
+        small = np.array([1, 2, min_workload, 30, 0])
+        large = np.array([1, 2, min_workload, 30, 0, 511, 512, 513, 5000])
+        for counts in (small, large):
+            n = np.repeat(counts[None, :], 300, axis=0)
+            mean = rng.normal(0.0, 0.6, size=n.shape)
+            # Second moments around the variance that puts each mean near
+            # its interval's edge, so both verdicts and ties occur.
+            s2 = n * mean**2 + (n - 1) * rng.uniform(0.05, 3.0, size=n.shape)
+            mean[::7, 2] = np.nan
+            with np.errstate(all="raise"):
+                codes = tester.decision_codes(n, mean, s2)
+            np.testing.assert_array_equal(
+                codes, self._reference_codes(alpha, n, mean, s2)
+            )
+            assert np.all(codes[:, [0, 4]] == 0)  # under two samples: no verdict
+            assert np.all(codes[::7, 2] == 0)  # a NaN mean never decides
+            assert np.any(codes[:, 1:] == 1) and np.any(codes[:, 1:] == -1)
+        assert tester._tables[0].size > 5000  # the tables grew
+
 
 class TestSteinTester:
     def test_decides_clear_signal(self, rng):

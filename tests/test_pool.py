@@ -220,3 +220,80 @@ class TestProgressSnapshot:
             )
 
         assert run(scrape=True) == run(scrape=False)
+
+
+class TestCommitMasks:
+    """``_commit_round`` folds the cold-start mask (n < I) and the reach
+    mask (columns a row cannot consume) into one first-decision search;
+    it must agree with applying the two masks to the codes explicitly."""
+
+    BUDGET, MIN_WORKLOAD, WIDTH = 40, 5, 8
+
+    @classmethod
+    def _reference(cls, tester, n0, s1, s2, values, reach, min_workload):
+        """Per row: (consumed, code, n, s1, s2) with both masks explicit."""
+        out = []
+        col = np.arange(1, cls.WIDTH + 1)
+        for r in range(values.shape[0]):
+            n = n0[r] + col
+            c1 = s1[r] + np.cumsum(values[r])
+            c2 = s2[r] + np.cumsum(np.square(values[r]))
+            codes = tester.decision_codes(n, c1 / n, c2)
+            codes = np.where(n >= min_workload, codes, 0)
+            codes = np.where(col > reach[r], 0, codes)
+            hits = np.flatnonzero(codes)
+            stop = int(hits[0]) if hits.size else int(reach[r]) - 1
+            code = int(codes[stop]) if hits.size else 0
+            out.append((stop + 1, code, int(n[stop]), c1[stop], c2[stop]))
+        return out
+
+    def test_folded_masks_match_explicit_masks(self):
+        session = make_latent_session(
+            [0.0] * 10,
+            budget=self.BUDGET,
+            min_workload=self.MIN_WORKLOAD,
+            batch_size=self.WIDTH,
+        )
+        pool = RacingPool(session, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
+        strong = np.full(self.WIDTH, 3.0) + np.linspace(0.0, 0.1, self.WIDTH)
+        quiet = np.tile([1.0, -1.0], self.WIDTH // 2)
+        values = np.array(
+            [
+                strong,  # decides early, but only from n = I on
+                np.concatenate((quiet[:3], strong[3:])),  # decides past reach
+                np.concatenate((quiet[:2], -strong[2:])),  # decides in reach
+                quiet,  # reach < width, ends at the budget: a tie
+                quiet,  # undecided, budget left: stays active
+            ]
+        )
+        n0 = np.array([0, 30, 10, self.BUDGET - 3, 12])
+        s1 = np.array([0.0, 3.0, -0.25, 0.0, 1.0])
+        s2 = np.array([0.0, 12.0, 9.5, 37.0, 13.0])
+        reach = np.minimum(self.WIDTH, self.BUDGET - n0)
+        reach[1] = 3
+        pool.n[:], pool.s1[:], pool.s2[:] = n0, s1, s2
+        tester = pool._tester
+        expected = self._reference(
+            tester, n0, s1, s2, values, reach, self.MIN_WORKLOAD
+        )
+        # Each mask matters: without the cold-start gate row 0 decides
+        # sooner, and with its whole width row 1 decides.
+        unmasked = self._reference(
+            tester, n0, s1, s2, values, np.full(5, self.WIDTH), 2
+        )
+        assert unmasked[0][0] < expected[0][0]
+        assert unmasked[1][1] != 0 and expected[1][1] == 0
+
+        resolved: list = []
+        sub = np.arange(5)
+        consumed, ties = pool._commit_round(sub, n0.copy(), values, reach, resolved)
+
+        assert consumed == sum(row[0] for row in expected)
+        assert [row[0] for row in expected] == [5, 3, 7, 3, 8]
+        for r, (_, code, n, c1, c2) in enumerate(expected):
+            assert pool.n[r] == n
+            assert pool.s1[r] == c1 and pool.s2[r] == c2  # bit for bit
+        assert [row[1] for row in expected] == [1, 0, -1, 0, 0]
+        assert resolved == [(0, 1), (2, -1), (3, 0)]
+        assert ties == 1
+        assert pool.status.tolist() == [1, ACTIVE, -1, TIE, ACTIVE]
