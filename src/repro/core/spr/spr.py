@@ -142,6 +142,9 @@ def spr_topk(
             "rounds_before": rounds_before,
         }
 
+    # The key stays owned until the query concludes, so a recursion in
+    # the conclusion cannot checkpoint itself as if it were the query: a
+    # crash there resumes from the last partition checkpoint instead.
     owns_checkpoint = session.register_state_provider("spr", _provider)
     try:
         with telemetry.span("spr.partition", session=session, items=len(ids), k=k):
@@ -153,12 +156,12 @@ def spr_topk(
                 max_reference_changes=config.max_reference_changes,
                 checkpointing=owns_checkpoint,
             )
+        return _conclude(
+            session, ids, k, config, selection, part, cost_before, rounds_before
+        )
     finally:
         if owns_checkpoint:
             session.unregister_state_provider("spr")
-    return _conclude(
-        session, ids, k, config, selection, part, cost_before, rounds_before
-    )
 
 
 def _spr_config_document(config: SPRConfig) -> dict:
@@ -239,12 +242,12 @@ def resume_spr_topk(session: "CrowdSession") -> SPRResult:
                 checkpointing=owns_checkpoint,
                 resume=query["partition"],
             )
+        return _conclude(
+            session, ids, k, config, selection, part, cost_before, rounds_before
+        )
     finally:
         if owns_checkpoint:
             session.unregister_state_provider("spr")
-    return _conclude(
-        session, ids, k, config, selection, part, cost_before, rounds_before
-    )
 
 
 def _conclude(

@@ -132,6 +132,32 @@ class TestRestoreInProcess:
         assert restored.cache.total_samples == restored.cost.microtasks
         assert restored.cache.total_samples == baseline.cache.total_samples
 
+    def test_crash_after_a_recursion_resumes_the_whole_query(self, tmp_path):
+        # This seed recurses into the losers once the partition is done.
+        # The recursion must not checkpoint itself as the query: a crash
+        # late in it resumes from the outer partition's last checkpoint.
+        config = ComparisonConfig(
+            confidence=0.95, budget=400, min_workload=2, batch_size=10,
+            resilience=ResiliencePolicy(),
+        )
+        baseline = CrowdSession(fresh_oracle(), config, seed=0)
+        expected = spr_topk(baseline, list(range(20)), 3)
+        assert expected.recursed
+
+        path = tmp_path / "recursed.ckpt"
+        killed = CrowdSession(
+            fresh_oracle(), config, seed=0, max_total_cost=expected.cost - 1
+        )
+        killed.enable_checkpoints(path, every=1)
+        with pytest.raises(BudgetExhaustedError):
+            spr_topk(killed, list(range(20)), 3)
+
+        restored = CrowdSession.restore(path, fresh_oracle())
+        restored.cost.ceiling = None
+        result = resume_spr_topk(restored)
+        assert result.topk == expected.topk
+        assert restored.total_cost == baseline.total_cost
+
     def test_resume_is_bit_exact_under_faults(self, tmp_path):
         resilience = ResiliencePolicy(
             fault=FaultPolicy(
