@@ -18,6 +18,7 @@ import pytest
 
 from repro.config import ComparisonConfig
 from repro.core.outcomes import Outcome
+from repro.crowd.group import race_group
 from repro.crowd.oracle import JudgmentOracle, LatentScoreOracle
 from repro.crowd.session import CrowdSession
 from repro.crowd.workers import GaussianNoise
@@ -176,6 +177,7 @@ class TestDuplicatesAndOrientation:
     def test_empty_group(self, engine):
         session = make_session(engine)
         assert session.compare_many([]) == []
+        assert race_group(session, []) == []
         assert session.spent() == (0, 0)
 
 
