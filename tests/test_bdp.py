@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.algorithms.bdp import BDPRanker, bdp_topk, resume_bdp_topk
+from repro.algorithms.bdp import MAX_ITEMS, BDPRanker, bdp_topk, resume_bdp_topk
 from repro.config import ComparisonConfig, ResiliencePolicy
 from repro.core.stopping import (
     ConfidenceStopping,
@@ -200,6 +200,16 @@ class TestRestoreInProcess:
         # cache exactly once, just like in the baseline run.
         assert restored.cache.total_samples == restored.cost.microtasks
         assert restored.cache.total_samples == baseline.cache.total_samples
+
+    def test_oversized_query_is_refused_before_any_purchase(self):
+        n = MAX_ITEMS + 1
+        session = make_latent_session(np.zeros(n), seed=0)
+        with pytest.raises(AlgorithmError, match="at most"):
+            bdp_topk(session, list(range(n)), 3)
+        session.restored_state = {"query": {"bdp": {"items": list(range(n))}}}
+        with pytest.raises(AlgorithmError, match="at most"):
+            resume_bdp_topk(session)
+        assert session.total_cost == 0
 
     def test_resume_without_restored_state_raises(self):
         with pytest.raises(AlgorithmError):

@@ -16,6 +16,7 @@ import urllib.request
 
 import pytest
 
+from repro.algorithms.bdp import MAX_ITEMS as BDP_MAX_ITEMS
 from repro.errors import (
     AdmissionError,
     BudgetExhaustedError,
@@ -65,6 +66,17 @@ class TestQuerySpec:
             QuerySpec(tenant="")
         with pytest.raises(ConfigError):
             QuerySpec(dataset=None, items=None)
+
+    def test_rejects_a_bdp_working_set_past_its_memory_bound(self):
+        too_many = BDP_MAX_ITEMS + 1
+        with pytest.raises(ConfigError, match="bdp answers at most"):
+            BASE.with_(method="bdp", n_items=too_many)
+        with pytest.raises(ConfigError, match="bdp answers at most"):
+            BASE.with_(method="bdp", items=range(too_many))
+        # Explicit items win over n_items, as in resolve_items.
+        assert BASE.with_(method="bdp", items=range(4), n_items=too_many).items
+        assert BASE.with_(method="bdp", n_items=BDP_MAX_ITEMS).n_items
+        assert BASE.with_(n_items=too_many).method == "spr"
 
     def test_document_round_trip(self):
         spec = BASE.with_(latency_sla=50, name="night-batch")
@@ -363,6 +375,7 @@ class TestServiceOverHttp:
                     {"method": "nope"},
                     {"method": "spr", "execution": {"run_engine": "pool"}},
                     {"method": "tournament", "method_kwargs": {"nope": 1}},
+                    {"method": "bdp", "n_items": BDP_MAX_ITEMS + 1},
                 ):
                     request = urllib.request.Request(
                         f"{observatory.url}/submit",
