@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import ComparisonConfig
 from repro.core.items import ItemSet
+from repro.crowd.group import plan_group
 from repro.crowd.oracle import LatentScoreOracle
 from repro.crowd.session import CrowdSession
 from repro.crowd.workers import GaussianNoise
@@ -46,6 +47,24 @@ def make_latent_session(
     defaults.update(config_kwargs)
     oracle = LatentScoreOracle(np.asarray(scores, dtype=float), GaussianNoise(sigma))
     return CrowdSession(oracle, ComparisonConfig(**defaults), seed=seed)
+
+
+def per_pair_compare_many(session: CrowdSession, pairs) -> list:
+    """A parallel comparison group as one :meth:`CrowdSession.compare`
+    per pair, in input order, billed the max of their rounds (§5.5).
+
+    The reference racing groups are held to: it draws the same judgment
+    distribution one pair at a time.  Install it with
+    ``monkeypatch.setattr(CrowdSession, "compare_many", per_pair_compare_many)``
+    to run a whole algorithm under it (forked sessions share the class).
+    """
+    group = plan_group(pairs)
+    records = [
+        session.compare(i, j, charge_latency=False)
+        for i, j in zip(group.lefts, group.rights)
+    ]
+    session.latency.add_parallel([r.rounds for r in records])
+    return records
 
 
 def make_items(scores) -> ItemSet:
