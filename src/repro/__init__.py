@@ -65,7 +65,6 @@ from .crowd import (
     RacingPool,
     RecordDatabaseOracle,
     UserTableOracle,
-    race_group,
 )
 from .datasets import DATASET_NAMES, Dataset, load_dataset
 from .errors import (
@@ -187,7 +186,6 @@ __all__ = [
     "parse_address",
     "partition",
     "plan_query",
-    "race_group",
     "run_golden_suite",
     "run_guarantee_suite",
     "run_invariant_suite",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Literal
 
 from .errors import ConfigError
@@ -43,7 +43,6 @@ __all__ = [
 FAULT_RATE_ENV = "CROWD_TOPK_FAULT_RATE"
 
 EstimatorName = Literal["student", "stein", "hoeffding", "pac"]
-GroupEngineName = Literal["racing", "sequential"]
 
 #: Safety cap used in place of an unbounded per-pair budget (``B = ∞`` in
 #: Table 3).  One million microtasks on one pair is far beyond anything the
@@ -198,8 +197,8 @@ class ResiliencePolicy:
         :class:`~repro.crowd.session.CrowdSession` automatically wraps its
         oracle in a :class:`~repro.crowd.faults.FaultInjector`.
     retry:
-        Re-posting / backoff / deadline behaviour, honoured by both group
-        engines.
+        Re-posting / backoff / deadline behaviour, honoured by single
+        comparisons and racing groups alike.
     checkpoint_every:
         Default checkpoint cadence in latency rounds for
         :meth:`CrowdSession.enable_checkpoints` (0 keeps checkpointing
@@ -283,19 +282,6 @@ class ComparisonConfig:
         once the anytime confidence radius shrinks under ``ε``.  ``0``
         degenerates to an exact anytime sign test.  Ignored by the other
         estimators.
-    group_engine:
-        How a *parallel comparison group* (§5.5) is executed.  ``"racing"``
-        (the default) advances every pair of the group through one
-        vectorized :class:`~repro.crowd.pool.RacingPool` in lockstep
-        rounds — one oracle call and one stopping-rule evaluation per
-        round for the whole group.  ``"sequential"`` runs one comparison
-        process per pair in Python, reproducing the pre-engine behavior
-        bit for bit.  Both engines share the per-sample stopping
-        semantics, charge only consumed microtasks, and bill the group
-        ``max`` of its members' rounds; they consume the session RNG in a
-        different order, so individual draws (and therefore seed-pinned
-        workloads) differ between them while remaining statistically
-        indistinguishable.
     resilience:
         Fault/retry/checkpoint behaviour (:class:`ResiliencePolicy`).  The
         default honours the :data:`FAULT_RATE_ENV` environment knob and is
@@ -310,7 +296,6 @@ class ComparisonConfig:
     estimator: EstimatorName = "student"
     stein_epsilon: float = 1e-9
     pac_epsilon: float = 0.0
-    group_engine: GroupEngineName = "racing"
     resilience: ResiliencePolicy = field(default_factory=default_resilience)
 
     def __post_init__(self) -> None:
@@ -332,8 +317,6 @@ class ComparisonConfig:
             raise ConfigError(f"stein_epsilon must be > 0, got {self.stein_epsilon}")
         if self.pac_epsilon < 0:
             raise ConfigError(f"pac_epsilon must be >= 0, got {self.pac_epsilon}")
-        if self.group_engine not in ("racing", "sequential"):
-            raise ConfigError(f"unknown group_engine {self.group_engine!r}")
         if not isinstance(self.resilience, ResiliencePolicy):
             raise ConfigError(
                 "resilience must be a ResiliencePolicy, got "
@@ -365,20 +348,36 @@ def comparison_config_from_dict(data: dict) -> ComparisonConfig:
     The inverse of ``dataclasses.asdict(config)`` — nested resilience
     dictionaries are revived into their frozen policy classes.  Used by
     checkpoint restore, where the config rides inside the checkpoint so a
-    resumed query runs under the exact settings of the original one.
+    resumed query runs under the exact settings of the original one, and
+    by service spec documents.  An unknown key raises
+    :class:`~repro.errors.ConfigError` naming it; the one exception is
+    the ``"racing"`` group engine that documents written while the engine
+    was selectable carry, which is dropped.
     """
-    payload = dict(data)
+    payload = {
+        key: value
+        for key, value in data.items()
+        if (key, value) != ("group_engine", "racing")
+    }
     resilience = payload.get("resilience")
     if isinstance(resilience, dict):
         nested = dict(resilience)
         fault = nested.get("fault")
         if isinstance(fault, dict):
-            nested["fault"] = FaultPolicy(**fault)
+            nested["fault"] = _revive(FaultPolicy, fault)
         retry = nested.get("retry")
         if isinstance(retry, dict):
-            nested["retry"] = RetryPolicy(**retry)
-        payload["resilience"] = ResiliencePolicy(**nested)
-    return ComparisonConfig(**payload)
+            nested["retry"] = _revive(RetryPolicy, retry)
+        payload["resilience"] = _revive(ResiliencePolicy, nested)
+    return _revive(ComparisonConfig, payload)
+
+
+def _revive(cls: type, data: dict):
+    """``cls(**data)``, raising :class:`ConfigError` on unknown keys."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} fields: {unknown}")
+    return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Everything here spends real (simulated) microtasks through a
 :class:`~repro.crowd.session.CrowdSession` and is therefore subject to the
 same confidence guarantees, caching and cost/latency accounting as any
 other comparison.  Parallel groups — every knockout level and every
-odd/even pass — go through :meth:`CrowdSession.compare_many`, so under the
-default ``group_engine="racing"`` they advance in vectorized lockstep
-rounds with no per-pair Python loop on the oracle path.
+odd/even pass — go through :meth:`CrowdSession.compare_many`, so they
+advance in vectorized lockstep rounds with no per-pair Python loop on the
+oracle path.
 
 Ties — pairs the budget could not separate — are resolved *heuristically*
 (by the sign of the observed sample mean, then randomly) because every

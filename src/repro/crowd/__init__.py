@@ -1,7 +1,6 @@
 """Simulated crowdsourcing platform: oracles, workers, ledgers, sessions."""
 
 from .faults import FaultInjector
-from .group import race_group
 from .ledger import CostLedger, LatencyLedger
 from .oracle import (
     BinaryOracle,
@@ -30,7 +29,6 @@ __all__ = [
     "CostLedger",
     "CrowdSession",
     "FaultInjector",
-    "race_group",
     "WallClockEstimate",
     "project_wall_clock",
     "GaussianNoise",

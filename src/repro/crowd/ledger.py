@@ -52,9 +52,8 @@ class CostLedger:
     def begin_comparisons(self, n: int) -> None:
         """Record that ``n`` comparison processes started at once.
 
-        The batched twin of :meth:`begin_comparison` — group engines open
-        a whole parallel comparison group with one ledger update instead
-        of one call per pair.
+        The batched twin of :meth:`begin_comparison` — a racing group
+        opens with one ledger update instead of one call per pair.
         """
         if n < 0:
             raise ValueError(f"cannot begin {n} comparisons")

@@ -120,8 +120,7 @@ class CrowdSession:
                 registry.counter("crowd_cache_hits_total"),
                 registry.counter("crowd_budget_ties_total"),
                 registry.histogram("crowd_comparison_workload"),
-                registry.counter("crowd_groups_total", engine="racing"),
-                registry.counter("crowd_groups_total", engine="sequential"),
+                registry.counter("crowd_groups_total"),
             )
             self._instrument_cache = cached
         return cached
@@ -253,38 +252,22 @@ class CrowdSession:
             listener(self, record)
         return record
 
-    def compare_many(
-        self, pairs: Iterable[tuple[int, int]], *, charge_latency: bool = True
-    ) -> list[ComparisonRecord]:
-        """Run a parallel comparison group through the configured engine.
+    def compare_many(self, pairs: Iterable[tuple[int, int]]) -> list[ComparisonRecord]:
+        """Run a parallel comparison group (§5.5), charging both ledgers.
 
-        With ``config.group_engine == "racing"`` (the default) the whole
-        group advances through one vectorized
+        The whole group advances through one vectorized
         :class:`~repro.crowd.pool.RacingPool` — one oracle call and one
         stopping-rule evaluation per lockstep round, no per-pair Python
-        loop.  ``"sequential"`` reproduces the historical behavior bit for
-        bit by running one comparison process per pair.  Both engines
-        charge only consumed microtasks and bill the group ``max`` of its
-        members' rounds; see docs/performance.md for when the two round
-        schedules differ.
+        loop.  It is charged only the microtasks its pairs consume and
+        billed the ``max`` of its members' rounds; see
+        docs/performance.md.
         """
         group = plan_group(pairs)  # rejects self-pairs before the ledgers see them
         count = len(group.lefts)
         if not count:
             return []
-        instruments = self._instruments()
-        _, comparisons, _, cache_hits, ties, workload = instruments[:6]
-        racing = self.config.group_engine == "racing"
-        instruments[6 if racing else 7].inc()
-        if not racing:
-            records = [
-                self.compare(i, j, charge_latency=False)
-                for i, j in zip(group.lefts, group.rights)
-            ]
-            if charge_latency:
-                self.latency.add_parallel([r.rounds for r in records])
-            return records
-
+        _, comparisons, _, cache_hits, ties, workload, groups = self._instruments()
+        groups.inc()
         self.cost.begin_comparisons(count)
         records, tally = race_planned(self, group)
         # One batched update per instrument for the whole group.  The
@@ -297,8 +280,7 @@ class CrowdSession:
             cache_hits.add(tally.replay_hits)
         if tally.cached_ties:
             ties.add(tally.cached_ties)
-        if charge_latency:
-            self.latency.add(tally.rounds)
+        self.latency.add(tally.rounds)
         if self._compare_listeners:
             for record in records:
                 for listener in self._compare_listeners:

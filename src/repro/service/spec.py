@@ -58,8 +58,7 @@ class QuerySpec:
     comparison:
         The per-comparison configuration (confidence, budget ``B``,
         batch ``η``, estimator, resilience).  The stopping policy of a
-        comparison lives here (``estimator`` + ``pac_epsilon``), and so
-        does its ``group_engine``.
+        comparison lives here (``estimator`` + ``pac_epsilon``).
     seed:
         Session seed — the whole query is a deterministic function of
         ``(spec, oracle)``.

@@ -79,7 +79,7 @@ METRIC_HELP: dict[str, str] = {
     "crowd_microtasks_total": "Judgments purchased (total monetary cost).",
     "crowd_cache_hits_total": "Comparisons answered from the judgment cache.",
     "crowd_budget_ties_total": "Comparisons that exhausted the per-pair budget.",
-    "crowd_groups_total": "Parallel comparison groups, by engine.",
+    "crowd_groups_total": "Parallel comparison groups raced.",
     "crowd_pool_rounds_total": "Vectorized racing rounds executed.",
     "crowd_faults_total": "Injected platform faults, by mode.",
     "crowd_retries_total": "Re-issued rounds after delivery failures.",

@@ -58,7 +58,7 @@ DEFAULT_GOLDEN_DIR = Path("tests") / "golden"
 #: Relative tolerance for float fields when diffing.
 FLOAT_TOL = 1e-6
 
-#: Counters worth pinning: they summarize spending and engine routing.
+#: Counters worth pinning: they summarize spending and racing.
 _PINNED_COUNTERS = (
     "crowd_comparisons_total",
     "crowd_microtasks_total",
@@ -231,8 +231,7 @@ def _racing_group_case() -> GoldenTrace:
     scores = np.array([0.0, 0.8, 1.6, 2.4, 3.2, 4.0])
     oracle = LatentScoreOracle(scores, GaussianNoise(1.2))
     config = ComparisonConfig(
-        confidence=0.95, budget=120, min_workload=5, batch_size=10,
-        group_engine="racing",
+        confidence=0.95, budget=120, min_workload=5, batch_size=10
     )
     pairs = [(5, 0), (4, 1), (3, 2), (0, 5)]
     with use_registry(MetricsRegistry()) as registry:

@@ -21,7 +21,7 @@ from repro.core.spr import resume_spr_topk, spr_topk
 from repro.crowd.oracle import LatentScoreOracle
 from repro.crowd.session import CrowdSession
 from repro.crowd.workers import GaussianNoise
-from repro.errors import BudgetExhaustedError
+from repro.errors import BudgetExhaustedError, ConfigError
 from repro.persistence import load_checkpoint, save_checkpoint
 from tests.conftest import make_latent_session
 
@@ -87,6 +87,24 @@ class TestPersistenceRoundtrip:
         assert state["config"]["confidence"] == pytest.approx(0.95)
         assert state["config"]["resilience"]["fault"]["timeout_rate"] == 0.0
         assert state["query"]["probe"] == {"value": 41}
+
+    def test_restore_reads_the_retired_group_engine_key(self, tmp_path):
+        # Checkpoints written while the group engine was selectable carry
+        # its default, "racing", in their config: they revive.  Any other
+        # engine names a config this library cannot run.
+        session = fresh_session()
+        session.compare(1, 0)
+        state = session.checkpoint_state()
+        path = tmp_path / "legacy.ckpt"
+        state["config"]["group_engine"] = "racing"
+        save_checkpoint(state, session.cache, path)
+        restored = CrowdSession.restore(path, fresh_oracle())
+        assert restored.config == session.config
+        assert restored.total_cost == session.total_cost
+        state["config"]["group_engine"] = "sequential"
+        save_checkpoint(state, session.cache, path)
+        with pytest.raises(ConfigError, match="group_engine"):
+            CrowdSession.restore(path, fresh_oracle())
 
     def test_provider_keys_are_exclusive(self):
         session = fresh_session()

@@ -88,7 +88,6 @@ PUBLIC_API = [
     "pbr_topk",
     "plan_query",
     "quickselect_topk",
-    "race_group",
     "reference_sort",
     "resume_bdp_topk",
     "resume_spr_topk",
@@ -127,7 +126,6 @@ class TestPublicApiSnapshot:
             "save_checkpoint",
             "load_checkpoint",
             "resume_spr_topk",
-            "race_group",
             "run_invariant_suite",
         ):
             assert name in repro.__all__, name

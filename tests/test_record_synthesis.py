@@ -1,6 +1,6 @@
 """Batched record synthesis is field-for-field the historical per-row loop.
 
-``race_group`` used to synthesize its ``ComparisonRecord`` list one row at
+A racing group used to synthesize its ``ComparisonRecord`` list one row at
 a time: ``pool.moments(slot)`` + orientation flip + ``from_race`` per
 occurrence.  The array-native rewrite computes the per-slot moments, the
 flips and the fresh/replay masks in whole-group passes and builds every
@@ -33,7 +33,7 @@ from repro.config import (
     RetryPolicy,
 )
 from repro.core.comparison import ComparisonRecord
-from repro.crowd.group import race_group
+from repro.crowd.group import plan_group, race_planned
 from repro.crowd.oracle import BinaryOracle, LatentScoreOracle
 from repro.crowd.pool import RacingPool
 from repro.crowd.session import CrowdSession
@@ -136,8 +136,15 @@ class TestFromArrays:
 # ----------------------------------------------------------------------
 # integration layer: the live engine vs the historical per-row loop
 # ----------------------------------------------------------------------
-def historical_race_group(session, pairs):
-    """The pre-rewrite ``race_group`` synthesis, verbatim.
+def race(session, pairs):
+    """The live engine's ``(record, fresh)`` stream for ``pairs``."""
+    group = plan_group(pairs)
+    records, _ = race_planned(session, group)
+    return list(zip(records, group.fresh))
+
+
+def historical_race(session, pairs):
+    """The pre-rewrite per-row record synthesis, verbatim.
 
     The racing itself (RacingPool rounds) is the shared vectorized kernel;
     what this preserves is the *per-row* record synthesis that the batched
@@ -236,13 +243,13 @@ def _streams(variant: str, seed: int, warm: bool):
     sessions; ``warm`` races the group once first so the measured call is
     served (partly or fully) from the judgment cache."""
     out = []
-    for synthesize in (race_group, historical_race_group):
+    for synthesize in (race, historical_race):
         with use_registry(MetricsRegistry()):
             session = _build(variant, seed)
             if warm:
                 # Same engine call on both twins: identical RNG draw and
                 # cache state going into the measured group.
-                race_group(session, GROUP)
+                race(session, GROUP)
             out.append(synthesize(session, GROUP))
     return out
 

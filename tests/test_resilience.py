@@ -25,9 +25,18 @@ from repro.crowd.session import CrowdSession
 from repro.crowd.workers import GaussianNoise
 from repro.errors import ConfigError
 from repro.telemetry import MetricsRegistry, use_registry
-from tests.conftest import make_latent_session
+from tests.conftest import make_latent_session, per_pair_compare_many
 
 SCORES = [0.0, 1.5, 3.0, 4.5, 6.0, 7.5]
+
+
+#: Run a group as one racing pool, and as one single comparison per pair
+#: (the ``Comparator`` path).
+over_group_runners = pytest.mark.parametrize(
+    "run",
+    [CrowdSession.compare_many, per_pair_compare_many],
+    ids=["racing", "sequential"],
+)
 
 
 def faulty_session(policy, retry=None, scores=SCORES, seed=0, **config_kwargs):
@@ -144,13 +153,11 @@ class TestZeroFaultBitIdentity:
     """force=True routes through the fault-aware path with no faults: the
     results must match the historical code path bit for bit."""
 
-    @pytest.mark.parametrize("engine", ["racing", "sequential"])
-    def test_forced_injector_matches_unwrapped(self, engine):
+    @over_group_runners
+    def test_forced_injector_matches_unwrapped(self, run):
         pairs = [(5, 0), (4, 1), (3, 2), (2, 1)]
-        plain = make_latent_session(
-            SCORES, seed=11, group_engine=engine, resilience=ResiliencePolicy()
-        )
-        expected = plain.compare_many(pairs)
+        plain = make_latent_session(SCORES, seed=11, resilience=ResiliencePolicy())
+        expected = run(plain, pairs)
 
         oracle = LatentScoreOracle(np.asarray(SCORES), GaussianNoise(1.0))
         wrapped = CrowdSession(
@@ -158,7 +165,7 @@ class TestZeroFaultBitIdentity:
             plain.config,
             seed=11,
         )
-        assert wrapped.compare_many(pairs) == expected
+        assert run(wrapped, pairs) == expected
         assert wrapped.total_cost == plain.total_cost
         assert wrapped.total_rounds == plain.total_rounds
 
@@ -250,7 +257,6 @@ class TestDegradeToTie:
             session = faulty_session(
                 FaultPolicy(timeout_rate=0.49, loss_rate=0.49, seed=3),
                 retry=RetryPolicy(max_attempts=2, backoff_base=0),
-                group_engine="racing",
             )
             records = session.compare_many([(5, 0), (4, 1)])
             assert all(r.outcome is Outcome.TIE for r in records)
@@ -259,8 +265,8 @@ class TestDegradeToTie:
                 >= 2
             )
 
-    @pytest.mark.parametrize("engine", ["racing", "sequential"])
-    def test_deadline_degrades_slow_pairs(self, engine):
+    @over_group_runners
+    def test_deadline_degrades_slow_pairs(self, run):
         with use_registry(MetricsRegistry()) as registry:
             # Close scores + tiny batches: no verdict inside one round, so
             # the 1-round deadline fires even on a fault-free platform.
@@ -270,12 +276,11 @@ class TestDegradeToTie:
                 seed=0,
                 batch_size=5,
                 min_workload=30,
-                group_engine=engine,
                 resilience=ResiliencePolicy(
                     retry=RetryPolicy(deadline_rounds=1)
                 ),
             )
-            record = session.compare_many([(1, 0)])[0]
+            record = run(session, [(1, 0)])[0]
             assert record.outcome is Outcome.TIE
             assert (
                 registry.counter_value("crowd_degraded_ties_total", reason="deadline")
@@ -301,7 +306,6 @@ class TestFaultyPoolResolution:
         session = faulty_session(
             FaultPolicy(timeout_rate=0.1, loss_rate=0.05, duplicate_rate=0.05, seed=9),
             seed=9,
-            group_engine="racing",
         )
         pool = RacingPool(session, [(5, 0), (4, 0), (3, 0)])
         while not pool.is_done:
