@@ -32,25 +32,72 @@ fixed number of array passes however many pairs the rounds touched:
 Writes only ever fill free space — a region's tail, or past the end of
 the log — so arrays handed out by :meth:`JudgmentCache.bag` stay valid
 and unchanged whatever is written, evicted or compacted later.
+
+A bag only ever grows at its end until it is emptied, so a stopping
+rule's scan of it never needs to start over: beside the moments, each
+slot keeps a **replay frontier** (:meth:`JudgmentCache.replay`) — how
+far the racing pools' rule has read the bag, the running sums there,
+and the verdict if the rule reached one.  It is derived state: reset
+wherever a bag is emptied, and never serialized.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterator, Mapping
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["JudgmentCache"]
+__all__ = ["JudgmentCache", "Replay"]
 
 #: Shared zero-length bag returned for cache misses in bulk lookups.
 _EMPTY_BAG = np.empty(0, dtype=np.float64)
 _NO_SLOTS = np.empty(0, dtype=np.int64)
-_NO_ROWS = np.empty((0, 0), dtype=np.float64)
 
-#: The per-slot arrays: running moments, where the bag's region starts in
-#: the log and how many values it can hold, its rank in first-write order,
-#: and the slot's canonical pair.
-_SLOT_ARRAYS = ("_n", "_s1", "_s2", "_start", "_cap", "_born", "_lo", "_hi")
+#: A stopping rule for :meth:`JudgmentCache.replay`:
+#: ``(n, s1, s2, stage_var, reach) -> codes``.
+Decide = Callable[
+    [np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray
+]
+
+
+class Replay(NamedTuple):
+    """What :meth:`JudgmentCache.replay` found, for the pairs ``rows``
+    (indices into the pairs replayed) that have judgments: the judgments
+    read (up to the first verdict), ``Σv`` oriented as each pair was
+    asked, ``Σv²``, the verdict in that orientation (0: none up to the
+    limit) and the frozen stage variance (NaN if none)."""
+
+    rows: np.ndarray
+    n: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    codes: np.ndarray
+    stage_var: np.ndarray
+
+
+#: The per-slot arrays and their types: running moments, where the bag's
+#: region starts in the log and how many values it can hold, its rank in
+#: first-write order, the slot's canonical pair, and its replay frontier:
+#: the judgments scanned (0: none), the running ``Σv`` there read in each
+#: orientation, ``Σv²``, the frozen stage variance (Stein) and the verdict
+#: (0: undecided), see :meth:`JudgmentCache.replay`.
+_SLOT_ARRAYS = {
+    "_n": np.int64,
+    "_s1": np.float64,
+    "_s2": np.float64,
+    "_start": np.int64,
+    "_cap": np.int64,
+    "_born": np.int64,
+    "_lo": np.int64,
+    "_hi": np.int64,
+    "_front": np.int64,
+    "_front_s1": np.float64,
+    "_front_s1r": np.float64,
+    "_front_s2": np.float64,
+    "_front_var": np.float64,
+    "_front_code": np.int8,
+}
 
 
 def _grown(array: np.ndarray, needed: int) -> np.ndarray:
@@ -77,6 +124,22 @@ def _expand(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return (starts + lengths - ends).repeat(lengths) + np.arange(
         ends[-1] if ends.size else 0, dtype=np.int64
     )
+
+
+def _bands(rows: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    """``rows`` in bands of similar ``lengths``, longest first: a band
+    ends before the first row shorter than half its longest, so padding
+    each band to its longest row at most doubles its cells."""
+    order = np.argsort(-lengths, kind="stable")
+    sizes = lengths[order].tolist()
+    bands = []
+    head = 0
+    for at, size in enumerate(sizes):
+        if 2 * size < sizes[head]:
+            bands.append(rows[order[head:at]])
+            head = at
+    bands.append(rows[order[head:]])
+    return bands
 
 
 def _merged(pending: list[tuple]) -> tuple:
@@ -171,14 +234,10 @@ class JudgmentCache:
         self._used = 0
         self._free: list[int] = []
         self._recycled = False  # set once an id is freed: ids may be stale
-        self._n = np.zeros(64, dtype=np.int64)
-        self._s1 = np.zeros(64, dtype=np.float64)
-        self._s2 = np.zeros(64, dtype=np.float64)
-        self._start = np.zeros(64, dtype=np.int64)
-        self._cap = np.zeros(64, dtype=np.int64)
-        self._born = np.zeros(64, dtype=np.int64)
-        self._lo = np.zeros(64, dtype=np.int64)
-        self._hi = np.zeros(64, dtype=np.int64)
+        for name, dtype in _SLOT_ARRAYS.items():
+            setattr(self, name, np.zeros(64, dtype=dtype))
+        # The stopping rule the frontiers were scanned with (see replay).
+        self._front_key: object = None
         # Batches queued by :meth:`defer_rows`, folded in arrival order by
         # :meth:`_drain` before any read or direct write touches the bags.
         self._pending: list[tuple] = []
@@ -207,7 +266,7 @@ class JudgmentCache:
         that are new.  Both orientations of a pair share one slot.
 
         A caller that writes the same pairs repeatedly resolves them once
-        and passes the ids to :meth:`defer_rows` / :meth:`padded_bags`.
+        and passes the ids to :meth:`defer_rows` / :meth:`replay`.
         Ids that go stale (see :meth:`_free_empty_slots`) are detected
         and looked up again there, so passing them is always safe.
         """
@@ -342,29 +401,57 @@ class JudgmentCache:
                 out.append(-values if flip else values)
         return out
 
-    def padded_bags(
+    def replay(
         self,
         lefts: np.ndarray,
         rights: np.ndarray,
         limit: int,
+        key: Hashable,
+        decide: Decide,
         *,
         slots: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The first ``limit`` judgments of many pairs as one padded matrix.
+    ) -> Replay | None:
+        """Run a stopping rule over the first ``limit`` judgments of many
+        pairs, each bag read from where the last replay of it stopped.
 
-        Returns ``(lengths, values)``: ``lengths[r]`` is how many
-        judgments pair ``r`` has (at most ``limit``), and ``values`` holds
-        one zero-padded row per pair with ``lengths[r] > 0``, in pair
-        order, each oriented as ``v(o_left, o_right)``.  ``slots`` (from
-        :meth:`slot_ids`) skips the per-pair key lookup.  This is the
-        racing pool's cache replay: one gather from the log.
+        ``decide(n, s1, s2, stage_var, reach)`` is the rule: given a
+        ``(rows × width)`` block of a scan's cumulative moments — sample
+        counts, ``Σv`` and ``Σv²`` in the canonical orientation — and
+        each row's count of valid columns ``reach``, it returns the
+        block's decision codes (``+1``/``-1``/``0``, already 0 below the
+        cold-start workload).  ``stage_var`` holds each row's frozen
+        stage variance (NaN until the first stage completes), and a rule
+        that freezes one at a column of the block writes it there.  The
+        rule must be odd in the sign of the judgments: flipping every
+        value flips every code.  ``key`` names the rule; every frontier
+        was scanned with one key, and another key starts them over.
+
+        Each slot's frontier holds how far its bag was scanned, the sums
+        there in both orientations (exact cancellation gives ``+0.0`` in
+        both, so one is not always the negation of the other), the stage
+        variance and the verdict.  A pair's replay then takes one of
+        three ways:
+
+        * a verdict at or below ``limit`` answers at once;
+        * an undecided bag is scanned only past its frontier, one
+          sequential ``np.add.accumulate`` seeded with the stored sums —
+          bit for bit the sums of a scan from the first judgment, since a
+          fresh bag's seed is ``-0.0``, the additive identity — and the
+          new frontier is written back;
+        * a frontier past ``limit`` keeps no sums at the limit, so the bag
+          is scanned from its first judgment up to the limit and the
+          frontier, which lies further, is left as it is.
+
+        Returns ``None`` when no pair has a judgment, else the
+        :class:`Replay` of the pairs that have, in pair order.
+        ``slots`` (from :meth:`slot_ids`) skips the per-pair key lookup.
         """
         if self._pending:
             self._drain()
         lefts = np.asarray(lefts)
         rights = np.asarray(rights)
         slots = self._read_slots(lefts, rights, slots)
-        return self._padded(slots, lefts > rights, limit)
+        return self._replay(slots, lefts > rights, limit, key, decide)
 
     def _read_slots(
         self, lefts: np.ndarray, rights: np.ndarray, slots: np.ndarray | None
@@ -374,27 +461,124 @@ class JudgmentCache:
             return self._find_slots(lefts, rights)
         return self._checked_slots(lefts, rights, slots, create=False)
 
-    def _padded(
-        self, slots: np.ndarray, flips: np.ndarray, limit: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`padded_bags` for resolved ``slots`` (``-1``: no bag)."""
-        lengths = self._sizes(slots)
-        np.minimum(lengths, limit, out=lengths)
-        rows = lengths.nonzero()[0]
-        if not rows.size:  # no pair has a bag
-            return lengths, _NO_ROWS
-        filled = lengths[rows]
-        width = int(filled.max())
-        # Gather a full-width window at each bag's start (clipped to the
-        # log), orient it, then zero whatever lies past the bag's end.
-        window = self._start[slots[rows]][:, None] + np.arange(width)
-        np.minimum(window, self._log_size - 1, out=window)
-        out = self._log[window]
+    def _replay(
+        self,
+        slots: np.ndarray,
+        flips: np.ndarray,
+        limit: int,
+        key: Hashable,
+        decide: Decide,
+    ) -> Replay | None:
+        """:meth:`replay` for resolved ``slots`` (``-1``: no bag)."""
+        reach = self._sizes(slots)
+        np.minimum(reach, limit, out=reach)
+        rows = reach.nonzero()[0]
+        if not rows.size:  # no pair has a bag: touch no frontier
+            return None
+        if key != self._front_key:  # scanned with another rule: start over
+            self._front[: self._used] = 0
+            self._front_key = key
+        ids = slots[rows]
+        reach = reach[rows]
+        front = [column[ids] for column in self._frontier()]
+        seen, code, s1, s1r, s2, stage_var = front
+        # A frontier past this reader's limit keeps no sums at the limit:
+        # such a bag is read from an empty frontier and not written back.
+        beyond = seen > reach
+        seen[beyond] = 0
+        # An empty frontier has read nothing: no verdict, sums of -0.0 and
+        # no stage variance (its other columns are left from an old bag).
+        empty = seen == 0
+        if empty.any():
+            code[empty] = 0
+            s1[empty] = s1r[empty] = s2[empty] = -0.0
+            stage_var[empty] = np.nan
+        scan = ((code == 0) & (seen < reach)).nonzero()[0]
+        if scan.size:
+            for band in _bands(scan, reach[scan] - seen[scan]):
+                self._scan(band, ids, reach, decide, front)
+            keep = scan[~beyond[scan]]
+            for column, values in zip(self._frontier(), front):
+                column[ids[keep]] = values[keep]
         flips = flips[rows]
         if flips.any():
-            np.negative(out, out=out, where=flips[:, None])
-        out[np.arange(width) >= filled[:, None]] = 0.0
-        return lengths, out
+            s1 = np.where(flips, s1r, s1)
+            code = np.where(flips, -code, code)
+        return Replay(rows, seen, s1, s2, code, stage_var)
+
+    def _frontier(self) -> tuple[np.ndarray, ...]:
+        """The frontier columns: judgments scanned, verdict, ``Σv`` read
+        each way round, ``Σv²`` and stage variance."""
+        return (
+            self._front,
+            self._front_code,
+            self._front_s1,
+            self._front_s1r,
+            self._front_s2,
+            self._front_var,
+        )
+
+    def _scan(
+        self,
+        band: np.ndarray,
+        ids: np.ndarray,
+        reach: np.ndarray,
+        decide: Decide,
+        front: list[np.ndarray],
+    ) -> None:
+        """Advance the ``band`` rows of a :meth:`replay` (bags ``ids``)
+        from their frontier ``front`` to their first verdict or their
+        ``reach``, updating ``front`` in place."""
+        seen, code, s1, s1r, s2, stage_var = front
+        begin = seen[band]
+        todo = reach[band] - begin
+        width = int(np.maximum.reduce(todo))
+        columns = np.arange(width + 1)
+        # One window per bag from its frontier (clipped to the log),
+        # zeroed past the bag's reach, behind a seed column.
+        window = (self._start[ids[band]] + begin)[:, None] + columns[:width]
+        np.minimum(window, self._log_size - 1, out=window)
+        values = self._log[window]
+        values[columns[:width] >= todo[:, None]] = 0.0
+        sums = np.empty((band.size, width + 1))
+        sums[:, 0] = s1[band]
+        sums[:, 1:] = values
+        np.add.accumulate(sums, axis=1, out=sums)
+        squares = np.empty((band.size, width + 1))
+        squares[:, 0] = s2[band]
+        np.square(values, out=squares[:, 1:])
+        np.add.accumulate(squares, axis=1, out=squares)
+        var = stage_var[band]
+        counts = begin[:, None] + columns[1:]
+        codes = decide(counts, sums[:, 1:], squares[:, 1:], var, todo)
+
+        # The extra last column is a sentinel, so a row's first deciding
+        # cell is its argmax; a row decides when that cell lies within
+        # its reach, and otherwise stops at its reach.
+        hits = np.empty((band.size, width + 1), dtype=bool)
+        hits[:, width] = True
+        np.not_equal(codes, 0, out=hits[:, :width])
+        first = hits.argmax(axis=1)
+        decided = first < todo
+        last = np.where(decided, first, todo - 1)
+        row = np.arange(band.size)
+        end_s1 = sums[row, last + 1]
+        seen[band] = begin + last + 1
+        code[band] = np.where(decided, codes[row, last], 0)
+        s1[band] = end_s1
+        s2[band] = squares[row, last + 1]
+        stage_var[band] = var
+        # Read the other way round, the sum is the negation, except where
+        # it is zero: x + (-x) is +0.0 in either orientation.
+        back = np.negative(end_s1)
+        zero = (end_s1 == 0.0).nonzero()[0]
+        if zero.size:
+            flipped = np.empty((zero.size, width + 1))
+            flipped[:, 0] = s1r[band[zero]]
+            np.negative(values[zero], out=flipped[:, 1:])
+            np.add.accumulate(flipped, axis=1, out=flipped)
+            back[zero] = flipped[np.arange(zero.size), last[zero] + 1]
+        s1r[band] = back
 
     def moments(self, i: int, j: int) -> tuple[int, float, float]:
         """``(n, mean, variance)`` of the stored bag for ``(i, j)``.
@@ -674,7 +858,8 @@ class JudgmentCache:
     # eviction and compaction
     # ------------------------------------------------------------------
     def _evict(self, slot: int) -> int:
-        """Empty ``slot``'s bag; returns the judgments removed.
+        """Empty ``slot``'s bag and reset its replay frontier; returns the
+        judgments removed.
 
         The slot keeps its id: a later write to it (from a racing pool
         that resolved it earlier, say) starts a fresh bag.
@@ -682,6 +867,7 @@ class JudgmentCache:
         n = int(self._n[slot])
         if n:
             self._n[slot] = 0
+            self._front[slot] = 0
             self._s1[slot] = 0.0
             self._s2[slot] = 0.0
             self._dead += int(self._cap[slot])
@@ -729,15 +915,17 @@ class JudgmentCache:
             del self._slot_of[pair]
         self._lo[empty] = 1
         self._hi[empty] = 0
+        self._front[empty] = 0
         self._free.extend(reversed(empty.tolist()))
         self._recycled = self._recycled or bool(empty.size)
 
     def clear(self) -> None:
-        """Drop every bag (deferred batches included — they would have
-        been stored and then dropped, so cancelling them is equivalent).
-        Slot ids stay valid and map to empty bags."""
+        """Drop every bag and replay frontier (deferred batches included —
+        they would have been stored and then dropped, so cancelling them
+        is equivalent).  Slot ids stay valid and map to empty bags."""
         self._pending.clear()
         self._n[:] = 0
+        self._front[:] = 0
         self._cap[:] = 0
         self._s1[:] = 0.0
         self._s2[:] = 0.0

@@ -161,69 +161,38 @@ class RacingPool:
     def _replay_cache(self) -> None:
         """Seed pair states from previously stored judgments.
 
-        All non-empty bags are replayed through **one padded batched
-        scan**: the bags are packed into a ``(pairs × longest bag)``
-        matrix and the stopping rule is evaluated once over the cumulative
-        moments of every prefix of every bag — the same per-sample
-        semantics as a per-pair :meth:`SequentialTester.scan`, without
-        building a fresh tester per pair.  Keeps SPR reference changes and
-        cache-heavy re-partitions from going quadratic in Python.
+        The cache replays every pair's bag through this pool's stopping
+        rule (:meth:`JudgmentCache.replay`) with the per-sample
+        semantics of a per-pair :meth:`SequentialTester.scan`: a bag
+        decided by an earlier replay answers at once, and an undecided
+        one is scanned only past where the last replay stopped, so a
+        judgment is scanned about once however often its pair is raced
+        again.  Decided bags carry their crossing code, and undecided
+        bags that hold the whole budget tie.
         """
         cache = self._cache
         if cache.total_samples == 0:  # cold cache: nothing to scan
             return
-        lengths, values = cache.padded_bags(
-            self.left, self.right, self._budget, slots=self._slots
+        found = cache.replay(
+            self.left,
+            self.right,
+            self._budget,
+            self._rule_key,
+            self._replay_codes,
+            slots=self._slots,
         )
-        if not values.shape[0]:  # no pair has a stored judgment
+        if found is None:  # no pair has a stored judgment
             return
-        rows = np.flatnonzero(lengths > 0)
-        row_len = lengths[rows]
-        width = values.shape[1]
-
-        counts = np.arange(1, width + 1, dtype=np.int64)
-        n_mat = np.broadcast_to(counts, values.shape)
-        s1_mat = np.cumsum(values, axis=1)
-        s2_mat = np.cumsum(np.square(values), axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean_mat = s1_mat / n_mat
-        stage = self.config.min_workload
+        rows, n, s1, s2, codes, stage_var = found
+        self.n[rows] = n
+        self.s1[rows] = s1
+        self.s2[rows] = s2
         if self._stein:
-            # The first stage completes inside the replay for every bag at
-            # least `I` deep; freeze those rows' variances at sample I.
-            staged = np.flatnonzero(row_len >= stage)
-            if staged.size:
-                col = stage - 1
-                var = sample_variance(
-                    n_mat[staged, col], mean_mat[staged, col], s2_mat[staged, col]
-                )
-                self._stage_var[rows[staged]] = var
-            codes = SteinTester.frozen_codes(
-                n_mat,
-                mean_mat,
-                self._stage_var[rows][:, None],
-                stage - 1,
-                self._tester.alpha,
-                self._tester.epsilon,
-            )
-        else:
-            codes = self._tester.decision_codes(n_mat, mean_mat, s2_mat)
-        codes = np.where(n_mat >= stage, codes, 0)
-        codes = np.where(counts[None, :] <= row_len[:, None], codes, 0)
-
-        has_decision = codes != 0
-        decided = has_decision.any(axis=1)
-        first = np.where(decided, has_decision.argmax(axis=1), row_len - 1)
-        slots = np.arange(rows.size)
-        self.n[rows] = n_mat[slots, first]
-        self.s1[rows] = s1_mat[slots, first]
-        self.s2[rows] = s2_mat[slots, first]
-        # Resolve in pair order, as a per-pair replay would: decided bags
-        # carry their crossing code, undecided-but-exhausted bags tie.
-        # Undecided rows hold all-zero code rows, so one gather serves both.
-        resolve = np.flatnonzero(decided | (row_len >= self._budget))
+            self._stage_var[rows] = stage_var
+        # Resolve in pair order, as a per-pair replay would.
+        resolve = ((codes != 0) | (n >= self._budget)).nonzero()[0]
         if resolve.size:
-            out_codes = codes[resolve, first[resolve]]
+            out_codes = codes[resolve]
             out_rows = rows[resolve]
             self.status[out_rows] = np.where(
                 out_codes > 0,
@@ -233,10 +202,39 @@ class RacingPool:
             self.initial_decisions.extend(
                 zip(out_rows.tolist(), out_codes.tolist())
             )
-        if self.initial_decisions:
-            self._counter("crowd_cache_hits_total").inc(
-                len(self.initial_decisions)
+            self._counter("crowd_cache_hits_total").inc(resolve.size)
+
+    @property
+    def _rule_key(self) -> tuple:
+        """What the replay's decisions depend on besides the judgments:
+        the rule and its parameters (the budget only limits the read)."""
+        tester = self._tester
+        return (
+            type(tester),
+            tester.alpha,
+            tester.min_workload,
+            getattr(tester, "epsilon", None),
+            getattr(tester, "value_range", None),
+        )
+
+    def _replay_codes(
+        self,
+        n_mat: np.ndarray,
+        s1_mat: np.ndarray,
+        s2_mat: np.ndarray,
+        stage_var: np.ndarray,
+        reach: np.ndarray,
+    ) -> np.ndarray:
+        """The stopping rule over a replay scan's cumulative moments,
+        gated on the cold-start workload (see :meth:`JudgmentCache.replay`)."""
+        if self._stein:
+            codes = self._stein_codes(
+                n_mat[:, 0] - 1, stage_var, n_mat, s1_mat, s2_mat, reach
             )
+        else:
+            codes = self._tester.decision_codes(n_mat, s1_mat / n_mat, s2_mat)
+        codes[n_mat < self.config.min_workload] = 0
+        return codes
 
     # ------------------------------------------------------------------
     # checkpoint/resume: in-flight racing state
@@ -439,7 +437,9 @@ class RacingPool:
         s1_mat = self.s1[take][:, None] + np.add.accumulate(values, axis=1)
         s2_mat = self.s2[take][:, None] + np.add.accumulate(np.square(values), axis=1)
         if self._stein:
-            codes = self._stein_codes(sub, n_mat, s1_mat, s2_mat, reach)
+            stage_var = self._stage_var[take]
+            codes = self._stein_codes(n0, stage_var, n_mat, s1_mat, s2_mat, reach)
+            self._stage_var[take] = stage_var
         else:
             codes = self._tester.decision_codes(n_mat, s1_mat / n_mat, s2_mat)
 
@@ -513,7 +513,8 @@ class RacingPool:
 
     def _stein_codes(
         self,
-        active: np.ndarray,
+        n_before: np.ndarray,
+        stage_var: np.ndarray,
         n_mat: np.ndarray,
         s1_mat: np.ndarray,
         s2_mat: np.ndarray,
@@ -521,14 +522,17 @@ class RacingPool:
     ) -> np.ndarray:
         """Two-stage Stein decisions: capture stage variances, then decide.
 
-        ``reach`` is the per-row number of samples this round can actually
-        consume — ``min(step, remaining)`` on the fault-free path, further
-        limited by delivered answers under fault injection.
+        ``n_before`` is each row's sample count before the block and
+        ``stage_var`` its stage variance, filled in place for the rows
+        whose first stage completes within the block.  ``reach`` is the
+        per-row number of samples the block can actually consume —
+        ``min(step, remaining)`` on the fault-free path, further limited
+        by delivered answers under fault injection, and the bag's unread
+        judgments in a cache replay.
         """
         stage = self.config.min_workload
-        n_before = self.n[active]
         crossing = np.flatnonzero(
-            np.isnan(self._stage_var[active])
+            np.isnan(stage_var)
             & (n_before < stage)
             & (n_before + reach >= stage)
         )
@@ -536,12 +540,13 @@ class RacingPool:
             cols = (stage - n_before[crossing] - 1).astype(np.intp)
             at_n = n_mat[crossing, cols]
             at_mean = s1_mat[crossing, cols] / at_n
-            var = sample_variance(at_n, at_mean, s2_mat[crossing, cols])
-            self._stage_var[active[crossing]] = var
+            stage_var[crossing] = sample_variance(
+                at_n, at_mean, s2_mat[crossing, cols]
+            )
         return SteinTester.frozen_codes(
             n_mat,
             s1_mat / n_mat,
-            self._stage_var[active][:, None],
+            stage_var[:, None],
             stage - 1,
             self._tester.alpha,
             self._tester.epsilon,

@@ -27,11 +27,14 @@ single-query base class:
   drain, once per drained slot, from the slots the drain wrote: the
   service's per-round bookkeeping is a standalone session's;
 * reads and writes refresh the pair's LRU recency, and writes trigger
-  eviction when the global bounds are exceeded.
+  eviction when the global bounds are exceeded;
+* a cache replay reads, scans and writes back the bags' replay
+  frontiers under one hold of the lock, so a frontier always describes
+  the bag it was scanned from.
 
-Eviction empties a whole bag and never truncates it: a racing pool that
-resolved the pair's slot earlier and writes to it again simply starts a
-fresh bag.  Arrays handed out before the eviction stay valid (the value
+Eviction empties a whole bag and never truncates it, and resets the
+bag's replay frontier: a racing pool that resolved the pair's slot
+earlier and writes to it again simply starts a fresh bag.  Arrays handed out before the eviction stay valid (the value
 log is append-only), the pair's next read is a miss, and no running
 moment is ever corrupted.  Memory follows what is cached, not what was
 ever raced: once dead log space (an evicted bag's region, or the region
@@ -52,7 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.cache import JudgmentCache
+from ..core.cache import JudgmentCache, Replay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import MetricsRegistry
@@ -130,23 +133,19 @@ class TenantCache(JudgmentCache):
             )
             return out
 
-    def padded_bags(
-        self,
-        lefts: np.ndarray,
-        rights: np.ndarray,
-        limit: int,
-        *,
-        slots: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def replay(
+        self, lefts, rights, limit, key, decide, *, slots=None
+    ) -> Replay | None:
+        # Read, scan and frontier write-back under one hold of the lock,
+        # so no eviction can empty a bag between its scan and write-back.
         with self._lock:
             if self._pending:  # a drain may create the slots looked up below
                 self._drain()
             lefts = np.asarray(lefts)
             rights = np.asarray(rights)
             slots = self._read_slots(lefts, rights, slots)
-            lengths, values = self._padded(slots, lefts > rights, limit)
-            self._record_bulk_reads(slots, lengths)
-            return lengths, values
+            self._record_bulk_reads(slots, self._sizes(slots))
+            return self._replay(slots, lefts > rights, limit, key, decide)
 
     def _record_bulk_reads(self, slots: np.ndarray, lengths: np.ndarray) -> None:
         hit = slots[lengths > 0]

@@ -229,11 +229,15 @@ class TestDeferredRows:
                 ],
                 [[-1.0, -2.0]],
             ),
-            "padded_bags": (
-                lambda c: c.padded_bags(
-                    np.array([0], dtype=np.int64), np.array([1], dtype=np.int64), 1
-                )[1].tolist(),
-                [[1.0]],
+            "replay": (
+                lambda c: c.replay(
+                    np.array([0], dtype=np.int64),
+                    np.array([1], dtype=np.int64),
+                    1,
+                    "never",
+                    lambda n, *_: np.zeros(n.shape, dtype=np.int8),
+                ).s1.tolist(),
+                [1.0],
             ),
         }
         for name, (read, expected) in reads.items():
