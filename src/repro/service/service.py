@@ -42,6 +42,8 @@ from ..crowd.session import CrowdSession
 from ..datasets import load_dataset
 from ..errors import (
     BudgetExhaustedError,
+    ConfigError,
+    DatasetError,
     QueryCancelledError,
     ServiceError,
     SLAExceededError,
@@ -248,10 +250,25 @@ class QueryService:
         the ``"reject"`` policy; under ``"queue"`` the handle parks in
         ``"queued"`` state until capacity frees.  Durable services
         require dataset-named specs (an explicit-items spec cannot be
-        revived in a fresh process).
+        revived in a fresh process).  A dataset-named spec must name a
+        known dataset and ask for at most its item count: the library's
+        ``Dataset.sample_items`` clamps a larger ``n_items`` to the whole
+        dataset, which would answer another query than the one asked, so
+        it raises :class:`~repro.errors.ConfigError` before anything is
+        queued.
         """
         if self._closed:
             raise ServiceError("service is closed")
+        if spec.items is None:
+            try:
+                available = len(load_dataset(spec.dataset))
+            except DatasetError as exc:
+                raise ConfigError(str(exc)) from None
+            if spec.n_items is not None and spec.n_items > available:
+                raise ConfigError(
+                    f"n_items ({spec.n_items}) exceeds the {available} items "
+                    f"of dataset {spec.dataset!r}"
+                )
         if self.state_dir is not None and spec.dataset is None:
             raise ServiceError(
                 "durable services need dataset-named specs "

@@ -125,6 +125,22 @@ class TestQuerySpec:
         assert BASE.with_(name="nightly").display_name == "nightly"
 
 
+class TestSubmitValidation:
+    def test_refuses_more_items_than_the_dataset_holds(self):
+        # sample_items clamps n_items to the dataset: a spec asking for
+        # more would be answered over the whole dataset instead.
+        jester = BASE.with_(dataset="jester", cost_sla=None)
+        with make_service(max_workers=1) as service:
+            with pytest.raises(ConfigError, match="exceeds the 100 items"):
+                service.submit(jester.with_(n_items=100_000))
+            with pytest.raises(ConfigError, match="unknown dataset"):
+                service.submit(jester.with_(dataset="nope"))
+            assert service.handles() == []
+            # Exactly the whole dataset is a legal working set.
+            handle = service.submit(jester.with_(method="tournament", n_items=100))
+            assert len(handle.result(timeout=120).topk) == 3
+
+
 class TestSingleQueryIdentity:
     """submit(spec) on a cold tenant is bit-identical to the standalone run."""
 
@@ -390,6 +406,7 @@ class TestServiceOverHttp:
                     {"method": "tournament", "method_kwargs": {"nope": 1}},
                     {"method": "bdp", "n_items": BDP_MAX_ITEMS + 1},
                     {"method": "spr", "comparison": {"group_engine": "sequential"}},
+                    {"method": "spr", "dataset": "jester", "n_items": 100_000},
                 ):
                     request = urllib.request.Request(
                         f"{observatory.url}/submit",
