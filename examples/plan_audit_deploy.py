@@ -3,8 +3,8 @@
 1. **Plan**: turn requirements (top-10 of 150 items, ≥0.6 precision,
    ≤US$60) into a configuration using the §5.4 bound and the Lemma-1 cost
    model.
-2. **Run**: execute SPR under that configuration with a query trace
-   attached.
+2. **Run**: execute SPR under that configuration with a flight recorder
+   keeping every comparison.
 3. **Audit**: reconcile the bill — phase totals, most expensive
    comparisons, dollars and projected wall clock.
 
@@ -13,12 +13,19 @@ Run:  python examples/plan_audit_deploy.py
 
 import numpy as np
 
-from repro import CrowdSession, LatentScoreOracle, SPRConfig, spr_topk
+from repro import (
+    CrowdSession,
+    FlightRecorder,
+    LatentScoreOracle,
+    MetricsRegistry,
+    SPRConfig,
+    explain_query,
+    spr_topk,
+)
 from repro.crowd.timeline import project_wall_clock
 from repro.crowd.workers import GaussianNoise
 from repro.extensions import session_bill
 from repro.planner import plan_query
-from repro.tracing import trace_session
 
 N_ITEMS, K = 150, 10
 SPREAD, NOISE = 2.0, 1.2
@@ -41,14 +48,14 @@ def main() -> None:
     rng = np.random.default_rng(2)
     scores = rng.normal(0.0, SPREAD, size=N_ITEMS)
     oracle = LatentScoreOracle(scores, GaussianNoise(NOISE))
-    session = CrowdSession(oracle, plan.config, seed=7)
-    trace = trace_session(session)
-
-    trace.mark_phase(session, "spr-query")
-    result = spr_topk(
-        session, list(range(N_ITEMS)), K, SPRConfig(comparison=plan.config)
+    session = CrowdSession(
+        oracle, plan.config, seed=7, telemetry=MetricsRegistry()
     )
-    trace.finish(session)
+    with FlightRecorder(capacity=None).attach(session=session) as recorder:
+        result = spr_topk(
+            session, list(range(N_ITEMS)), K, SPRConfig(comparison=plan.config)
+        )
+    report = explain_query(session, recorder, result.topk, k=K)
 
     truth = set(np.argsort(-scores)[:K].tolist())
     hits = len(truth & set(result.topk))
@@ -66,11 +73,17 @@ def main() -> None:
           f"spent {bill.microtasks:,} "
           f"({bill.microtasks / plan.predicted_microtasks:.0%} of plan)")
     print(f"  projected duration: {clock.summary()}")
-    print(f"  comparisons traced: {trace.total_comparisons:,} "
-          f"({trace.cached_comparisons} served from cache)")
+    print("  cost by phase (exclusive):")
+    for row in report.phases:
+        print(f"    {row['phase']:14s} {row['cost']:>8,} microtasks "
+              f"{row['rounds']:>5,} rounds")
+    print(f"  comparisons recorded: {report.total_comparisons:,} "
+          f"({report.cached_comparisons} served from cache)")
     print("  three most expensive comparisons:")
-    for event in trace.most_expensive(3):
-        print(f"    {event.line()}")
+    comparisons = [e for e in recorder.tail() if e["type"] == "comparison"]
+    for event in sorted(comparisons, key=lambda e: -e["cost"])[:3]:
+        print(f"    {event['phase']:12s} COMP({event['left']}, {event['right']}) "
+              f"-> {event['outcome']:5s} +{event['cost']:,}")
 
 
 if __name__ == "__main__":

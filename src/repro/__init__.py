@@ -109,7 +109,6 @@ from .telemetry import (
     set_registry,
     use_registry,
 )
-from .tracing import QueryTrace, trace_session
 from .validation import run_golden_suite, run_guarantee_suite, run_invariant_suite
 
 __version__ = "1.0.0"
@@ -175,7 +174,6 @@ __all__ = [
     "load_dataset",
     "ndcg_at_k",
     "QueryPlan",
-    "QueryTrace",
     "cache_from_json",
     "cache_to_json",
     "default_resilience",
@@ -192,7 +190,6 @@ __all__ = [
     "save_cache",
     "save_checkpoint",
     "set_registry",
-    "trace_session",
     "use_registry",
     "pbr_topk",
     "quickselect_topk",

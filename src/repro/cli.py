@@ -5,7 +5,7 @@ Three subcommands cover the common workflows without writing Python:
 * ``crowd-topk datasets`` — list the built-in synthetic datasets.
 * ``crowd-topk query`` — answer one top-k query with any method and print
   the result, its cost, and its quality against the ground truth.
-* ``crowd-topk explain`` — answer a traced query and print per-phase and
+* ``crowd-topk explain`` — answer a recorded query and print per-phase and
   per-item cost attribution plus each returned item's comparison trail.
 * ``crowd-topk experiment`` — regenerate one of the paper's tables or
   figures at a chosen run count.
@@ -92,7 +92,6 @@ from .telemetry import (
     parse_address,
     use_registry,
 )
-from .tracing import trace_session
 from .validation import run_golden_suite, run_guarantee_suite, run_invariant_suite
 from .validation.golden import DEFAULT_GOLDEN_DIR
 from .validation.guarantees import DEFAULT_ALPHAS, DEFAULT_REPLICATIONS
@@ -141,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("-k", type=int, default=10, help="result size")
     query.add_argument(
-        "--n-items", type=int, default=None, help="random item subset (default: all)"
+        "--n-items", type=int, default=None,
+        help="deterministic first-n item subset (default: all)",
     )
     query.add_argument("--confidence", type=float, default=0.98)
     query.add_argument("--budget", type=int, default=1000)
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain = commands.add_parser(
         "explain",
         help="answer one top-k query and explain where every microtask went",
-        description="Run a traced query and print per-phase and per-item "
+        description="Run a recorded query and print per-phase and per-item "
         "cost attribution plus the comparison trail supporting each "
         "returned item.  Per-item costs plus the unattributed bucket "
         "always sum exactly to the session's total monetary cost.",
@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--method", choices=sorted(ALGORITHMS), default="spr")
     explain.add_argument("-k", type=int, default=10, help="result size")
     explain.add_argument(
-        "--n-items", type=int, default=None, help="random item subset (default: all)"
+        "--n-items", type=int, default=None,
+        help="deterministic first-n item subset (default: all)",
     )
     explain.add_argument("--confidence", type=float, default=0.98)
     explain.add_argument("--budget", type=int, default=1000)
@@ -545,15 +546,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     with use_registry(MetricsRegistry()) as registry:
         session, items = session_for(spec, registry)
-        with trace_session(session) as trace:
+        with FlightRecorder(capacity=None).attach(session=session) as recorder:
             outcome = execute_spec(session, spec, items)
         report = explain_query(
-            session,
-            trace,
-            outcome.topk,
-            method=args.method,
-            k=args.k,
-            registry=registry,
+            session, recorder, outcome.topk, method=args.method, k=args.k
         )
         microtasks = int(registry.counter_total("crowd_microtasks_total"))
     print(report.to_json() if args.json else report.to_text())

@@ -21,7 +21,7 @@ from ..core.comparison import Comparator, ComparisonRecord
 from ..core.estimators import SequentialTester, make_tester
 from ..core.outcomes import Outcome
 from ..rng import make_rng
-from ..telemetry import MetricsRegistry, get_registry
+from ..telemetry import MetricsRegistry, Span, get_registry
 from .faults import FaultInjector
 from .group import plan_group, race_planned
 from .ledger import CostLedger, LatencyLedger
@@ -79,6 +79,10 @@ class CrowdSession:
         self.latency = LatencyLedger()
         self._telemetry = telemetry
         self._compare_listeners: list[CompareListener] = []
+        #: This query's open telemetry spans, outermost first: the
+        #: registry pushes a span opened with this session and pops it on
+        #: close, in whichever thread runs the query.
+        self.open_spans: list[Span] = []
         self._instrument_cache: tuple | None = None
         self._racing_cache: tuple | None = None
         self._counter_cache: tuple | None = None
@@ -196,14 +200,14 @@ class CrowdSession:
         """A JSON-ready live snapshot of this query's state.
 
         Always carries the ledger view (cost spent vs. cap, rounds,
-        comparisons), the open telemetry span names (the current phase),
-        and degraded-tie totals; algorithm loops enrich it through
+        comparisons), the names of this query's open spans (the current
+        phase), and degraded-tie totals; algorithm loops enrich it through
         :meth:`register_progress_provider` (the SPR partition loop reports
         its round, resolved/deferred counts, and estimated rounds
         remaining).  Read-only and safe to call from another thread.
         """
         telemetry = self.telemetry
-        spans = telemetry.active_spans()
+        spans = [span.name for span in list(self.open_spans)]
         doc: dict = {
             "phase": spans[-1] if spans else None,
             "open_spans": spans,
@@ -536,7 +540,8 @@ class CrowdSession:
         clone.cost = self.cost
         clone.latency = self.latency
         clone._telemetry = self._telemetry
-        clone._compare_listeners = []  # traces attach per-session, not per-bill
+        clone._compare_listeners = []  # recorders attach per-session, not per-bill
+        clone.open_spans = self.open_spans  # one query, one phase
         clone._instrument_cache = None
         clone._racing_cache = None
         clone._counter_cache = None

@@ -3,19 +3,28 @@
 A deployment that just paid for a four-figure crowd query wants the
 answer *explained*: which phase spent what, which items absorbed the
 budget, and which comparisons support each member of the returned top-k.
-:func:`explain_query` folds a :class:`~repro.tracing.QueryTrace` and the
-session's ledgers into one :class:`ExplainReport` that renders both as a
-human-readable table (``crowd-topk explain``) and as JSON for tooling.
+:func:`explain_query` folds two records of the query into one
+:class:`ExplainReport` that renders as a human-readable table
+(``crowd-topk explain``) and as JSON for tooling:
+
+* the comparison events of a :class:`~repro.telemetry.FlightRecorder`
+  attached to the session for the whole query, each stamped with the
+  phase (innermost open span) it resolved in;
+* the registry's completed spans, whose exclusive cost, rounds and
+  seconds make the phase rows.
 
 Attribution rules — chosen so the report always reconciles exactly:
 
-* Each traced comparison's incremental cost is charged to its **left**
+* Each recorded comparison's incremental cost is charged to its **left**
   item (the candidate under test; references and pivots sit on the
   right).  Summing per-item costs therefore never double-counts.
-* Spending the trace never saw — notably SPR's selection phase, which
-  runs on a forked session whose compare listeners are deliberately
-  cleared — lands in an explicit ``unattributed`` bucket rather than
-  being silently smeared over items.
+* Spending the recorder never saw — SPR's selection phase, which runs on
+  a forked session whose compare listeners are deliberately cleared, and
+  partitioning, which buys through the racing pool — lands in an
+  explicit ``unattributed`` bucket rather than being smeared over items.
+* Spending outside every span (a method that opens none, such as
+  ``tournament``) forms the ``query`` phase row, so the phase rows, too,
+  sum to the bill.
 
 The reconciliation identity (pinned by an integration test)::
 
@@ -26,13 +35,13 @@ The reconciliation identity (pinned by an integration test)::
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..crowd.session import CrowdSession
-    from ..telemetry import MetricsRegistry
-    from ..tracing import QueryTrace
+    from ..telemetry import FlightRecorder
 
 __all__ = ["ExplainReport", "ItemCost", "TrailEntry", "explain_query"]
 
@@ -71,7 +80,10 @@ class TrailEntry:
         )
 
 
-#: Outcome names from the member's own perspective.  Trace events carry
+#: The phase of comparisons and spending outside every span.
+ROOT_PHASE = "query"
+
+#: Outcome names from the member's own perspective.  Comparison events carry
 #: the session's ``LEFT``/``RIGHT``/``TIE`` verdicts; a trail entry says
 #: ``WIN`` when the member won regardless of which side it sat on.
 _AS_MEMBER = {"left": {"LEFT": "WIN", "RIGHT": "LOSS", "TIE": "TIE"},
@@ -102,7 +114,7 @@ class ExplainReport:
     # ------------------------------------------------------------------
     @property
     def attributed(self) -> int:
-        """Microtasks the trace could pin to a specific item."""
+        """Microtasks the recorder could pin to a specific item."""
         return sum(entry.cost for entry in self.item_costs)
 
     def reconciles(self, microtasks_total: int | None = None) -> bool:
@@ -146,15 +158,16 @@ class ExplainReport:
             f"  total cost   {self.total_cost:,} microtasks"
             + (f" (cap {self.budget_cap:,})" if self.budget_cap else ""),
             f"  latency      {self.total_rounds:,} rounds",
-            f"  comparisons  {self.total_comparisons:,} traced "
+            f"  comparisons  {self.total_comparisons:,} recorded "
             f"({self.cached_comparisons:,} cache hits)",
             "",
-            "  phase (exclusive)        count       cost     rounds",
+            "  phase (exclusive)        count       cost     rounds    seconds",
         ]
         for p in self.phases:
+            seconds = "-" if p["seconds"] is None else f"{p['seconds']:.4f}"
             lines.append(
                 f"  {p['phase']:<18s} {p['comparisons']:>11,} {p['cost']:>10,} "
-                f"{p['rounds']:>10,}"
+                f"{p['rounds']:>10,} {seconds:>10s}"
             )
         lines.append("")
         lines.append("  cost by item (left operand of each comparison):")
@@ -171,7 +184,7 @@ class ExplainReport:
         if self.unattributed:
             lines.append(
                 f"  (unattributed) {self.unattributed:>6,}  "
-                "— spending outside the trace (e.g. selection fork)"
+                "— spending the recorder never saw (selection fork, racing pool)"
             )
         lines.append("")
         lines.append("  confidence trail per returned item:")
@@ -199,57 +212,69 @@ class ExplainReport:
         return "\n".join(lines)
 
 
-def _span_phases(registry: "MetricsRegistry") -> tuple[dict, ...]:
+def _phase_rows(session: "CrowdSession", events: list[dict]) -> tuple[dict, ...]:
     """Per-phase exclusive totals from the registry's completed spans.
 
-    Exclusive figures never double-count a microtask across a span tree,
-    so these rows sum to (at most) the session total just like the
-    trace-based fallback.
+    Exclusive figures never double-count a microtask across a span tree;
+    what no span covers forms the :data:`ROOT_PHASE` row, so the rows sum
+    to the session total.  ``comparisons`` counts the recorded
+    comparisons that resolved in each phase.
     """
-    totals: dict[str, list[int]] = {}
-    for span in registry.spans:
+    totals: dict[str, list] = {}
+    for span in session.telemetry.spans:
         if span.cost is None:
             continue
-        bucket = totals.setdefault(span.name, [0, 0, 0])
-        bucket[0] += 1
-        bucket[1] += span.exclusive_cost or 0
-        bucket[2] += span.exclusive_rounds or 0
+        bucket = totals.setdefault(span.name, [0, 0, 0.0])
+        bucket[0] += span.exclusive_cost
+        bucket[1] += span.exclusive_rounds
+        bucket[2] += span.exclusive_seconds
+    spent_cost, spent_rounds = session.spent()
+    counts = Counter(event["phase"] or ROOT_PHASE for event in events)
+    outside = (
+        spent_cost - sum(bucket[0] for bucket in totals.values()),
+        spent_rounds - sum(bucket[1] for bucket in totals.values()),
+    )
+    if any(outside) or counts[ROOT_PHASE]:
+        totals[ROOT_PHASE] = [*outside, None]  # no span timed it
     return tuple(
-        {"phase": name, "comparisons": count, "cost": cost, "rounds": rounds}
-        for name, (count, cost, rounds) in sorted(totals.items())
+        {"phase": name, "comparisons": counts[name], "cost": cost,
+         "rounds": rounds, "seconds": seconds}
+        for name, (cost, rounds, seconds) in sorted(totals.items())
     )
 
 
 def explain_query(
     session: "CrowdSession",
-    trace: "QueryTrace",
+    recorder: "FlightRecorder",
     topk: tuple[int, ...] | list[int],
     *,
     method: str = "spr",
     k: int | None = None,
-    registry: "MetricsRegistry | None" = None,
 ) -> ExplainReport:
-    """Fold a finished query's trace and ledgers into an ExplainReport.
+    """Fold a finished query's recorded comparisons and spans into a report.
 
-    ``trace`` must have been attached to ``session`` for the whole query
-    (and :meth:`~repro.tracing.QueryTrace.finish` called, directly or by
-    leaving its ``with`` block) so the phase totals are closed.  The
-    report reconciles against the *session* ledgers, not the trace: any
-    spending the trace missed is surfaced as ``unattributed``.
-
-    With ``registry``, phase rows come from the registry's completed
-    spans (exclusive cost per ``spr.select``/``spr.partition``/
-    ``spr.rank`` region); otherwise from the trace's coarser phase marks.
+    ``recorder`` must have been attached to ``session`` for the whole
+    query and must keep every event (``FlightRecorder(capacity=None)``);
+    phase rows come from the spans of the session's registry.  The
+    report reconciles against the *session* ledgers: any spending the
+    recorder missed is surfaced as ``unattributed``.
     """
     topk = tuple(int(i) for i in topk)
     k = len(topk) if k is None else k
+    document = recorder.to_dict()
+    if document["events_dropped"]:
+        raise ValueError(
+            f"the recorder dropped {document['events_dropped']} events; "
+            "explain needs FlightRecorder(capacity=None)"
+        )
+    events = [e for e in document["events"] if e["type"] == "comparison"]
 
     costs: dict[int, list[int]] = {}
-    for event in trace.events:
-        bucket = costs.setdefault(event.left, [0, 0, 0])
-        bucket[0] += event.cost
+    for event in events:
+        bucket = costs.setdefault(event["left"], [0, 0, 0])
+        bucket[0] += event["cost"]
         bucket[1] += 1
-        bucket[2] += event.workload
+        bucket[2] += event["workload"]
     item_costs = tuple(
         ItemCost(item=item, cost=c, comparisons=n, workload=w)
         for item, (c, n, w) in sorted(
@@ -260,31 +285,26 @@ def explain_query(
     total_cost = session.total_cost
     unattributed = total_cost - sum(e.cost for e in item_costs)
 
-    trails: dict[int, tuple[TrailEntry, ...]] = {}
     members = set(topk)
     collected: dict[int, list[TrailEntry]] = {item: [] for item in topk}
-    for event in trace.events:
-        for item in (event.left, event.right):
-            if item not in members or event.left == event.right:
+    for index, event in enumerate(events):
+        left, right = event["left"], event["right"]
+        for item in (left, right):
+            if item not in members or left == right:
                 continue
-            side = "right" if item == event.right else "left"
+            side = "right" if item == right else "left"
             collected[item].append(
                 TrailEntry(
-                    index=event.index,
-                    phase=event.phase,
-                    opponent=event.left if side == "right" else event.right,
-                    outcome=_AS_MEMBER[side].get(event.outcome, event.outcome),
-                    workload=event.workload,
-                    cost=event.cost,
-                    rounds=event.rounds,
+                    index=index,
+                    phase=event["phase"] or ROOT_PHASE,
+                    opponent=left if side == "right" else right,
+                    outcome=_AS_MEMBER[side].get(event["outcome"], event["outcome"]),
+                    workload=event["workload"],
+                    cost=event["cost"],
+                    rounds=event["rounds"],
                 )
             )
     trails = {item: tuple(entries) for item, entries in collected.items()}
-
-    if registry is not None and any(s.cost is not None for s in registry.spans):
-        phases = _span_phases(registry)
-    else:
-        phases = tuple(vars(p) for p in trace.phase_summaries())
 
     _, total_rounds = session.spent()
     return ExplainReport(
@@ -293,10 +313,12 @@ def explain_query(
         topk=topk,
         total_cost=total_cost,
         total_rounds=total_rounds,
-        total_comparisons=trace.total_comparisons,
-        cached_comparisons=trace.cached_comparisons,
+        total_comparisons=len(events),
+        cached_comparisons=sum(
+            1 for e in events if e["cost"] == 0 and e["workload"] > 0
+        ),
         budget_cap=session.cost.ceiling,
-        phases=phases,
+        phases=_phase_rows(session, events),
         item_costs=item_costs,
         unattributed=unattributed,
         trails=trails,

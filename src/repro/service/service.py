@@ -49,7 +49,6 @@ from ..errors import (
     SLAExceededError,
 )
 from ..telemetry import MetricsRegistry
-from ..telemetry.server import QueryBoard
 from .cache import SharedJudgmentCache
 from .runner import execute_spec, resume_session, session_for
 from .scheduler import AdmissionController, FairMarketplace
@@ -182,11 +181,6 @@ class QueryService:
     registry:
         Metrics registry for all ``service_*`` families (defaults to the
         process registry).
-    board:
-        The :class:`~repro.telemetry.QueryBoard` running sessions
-        register on (a fresh board by default); hand it to an
-        :class:`~repro.telemetry.ObservatoryServer` together with the
-        service for tenant-aware ``/queries``.
     """
 
     def __init__(
@@ -201,12 +195,10 @@ class QueryService:
         state_dir: str | os.PathLike | None = None,
         checkpoint_every: int = 1,
         registry: MetricsRegistry | None = None,
-        board: QueryBoard | None = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.registry = registry if registry is not None else _process_registry()
-        self.board = board if board is not None else QueryBoard()
         self.cache = SharedJudgmentCache(
             max_entries=cache_entries,
             max_bytes=cache_bytes,
@@ -372,16 +364,6 @@ class QueryService:
                 session.enable_checkpoints(
                     self._path(handle.id, "ckpt"), self.checkpoint_every
                 )
-            session.register_progress_provider(
-                "service",
-                lambda: {
-                    "id": handle.id,
-                    "tenant": spec.tenant,
-                    "cost_sla": spec.cost_sla,
-                    "latency_sla": spec.latency_sla,
-                },
-            )
-            self.board.register(f"{handle.id}:{spec.display_name}", session)
             if handle.resume_from is not None:
                 outcome = resume_session(session, spec)
             else:
@@ -407,7 +389,6 @@ class QueryService:
             lane.close()
             if session is not None:
                 session.set_spend_gate(None)
-                self.board.unregister(f"{handle.id}:{spec.display_name}")
 
     def _make_gate(self, handle: QueryHandle, session: CrowdSession):
         spec = handle.spec

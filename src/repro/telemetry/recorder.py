@@ -49,15 +49,17 @@ class FlightRecorder:
     ----------
     capacity:
         Events retained; older ones fall off the ring.  Total events seen
-        is still available as :attr:`events_seen`.
+        is still available as :attr:`events_seen`.  ``None`` keeps every
+        event, which an explain report needs (see
+        :func:`~repro.reports.explain_query`).
     clock:
         Wall-clock source for the ``t`` stamp (injectable for tests).
     """
 
     def __init__(
-        self, capacity: int = DEFAULT_CAPACITY, clock=time.time
+        self, capacity: int | None = DEFAULT_CAPACITY, clock=time.time
     ) -> None:
-        if capacity < 1:
+        if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._clock = clock
@@ -76,7 +78,18 @@ class FlightRecorder:
         session: "CrowdSession | None" = None,
     ) -> "FlightRecorder":
         """Subscribe to a registry's event stream and/or a session's
-        comparison feed (both idempotent; re-attach is a no-op)."""
+        comparison feed (both idempotent; re-attach is a no-op).
+
+        A recorder follows one registry and one session at a time;
+        attaching to another raises :class:`ValueError` until
+        :meth:`detach`.
+        """
+        for current, new in ((self._registry, registry), (self._session, session)):
+            if current is not None and new is not None and new is not current:
+                raise ValueError(
+                    f"recorder is attached to another {type(new).__name__}; "
+                    "detach() first"
+                )
         if registry is not None and self._registry is None:
             self._registry = registry
             registry.add_listener(self.record)
@@ -112,10 +125,16 @@ class FlightRecorder:
     def record_comparison(
         self, session: "CrowdSession", record: "ComparisonRecord"
     ) -> None:
-        """Capture one resolved comparison (compare-listener compatible)."""
+        """Capture one resolved comparison (compare-listener compatible).
+
+        ``phase`` is the innermost of the session's open spans when the
+        comparison resolved (``None`` outside every span).
+        """
+        spans = session.open_spans
         self.record(
             {
                 "type": "comparison",
+                "phase": spans[-1].name if spans else None,
                 "left": record.left,
                 "right": record.right,
                 "outcome": record.outcome.name,

@@ -366,7 +366,9 @@ class MetricsRegistry:
         self._histograms: dict[tuple[str, LabelSet], Histogram] = {}
         self.spans: list[Span] = []
         self.dropped_spans = 0
-        self._span_stack: list[Span] = []
+        # Each thread nests its own spans: concurrent queries on one
+        # registry must not adopt each other's spans as parents.
+        self._local = threading.local()
         self._listeners: list[Callable[[dict[str, object]], None]] = []
         self._help: dict[str, str] = {}
         # Guards family creation and the read-side exports against a
@@ -375,16 +377,18 @@ class MetricsRegistry:
 
     def __getstate__(self) -> dict:
         # Worker registries travel back to the parent process (the
-        # parallel experiment engine); locks and listeners do not pickle
-        # and never transfer.
+        # parallel experiment engine); locks, listeners and open spans
+        # do not pickle and never transfer.
         state = self.__dict__.copy()
         state["_lock"] = None
+        state["_local"] = None
         state["_listeners"] = []
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.RLock()
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # metric families
@@ -452,29 +456,37 @@ class MetricsRegistry:
     ) -> Iterator[Span]:
         """Time a region; with a session, attribute its ledger deltas.
 
-        Spans nest: a span opened while another is active records that
-        parent, and on exit reports its inclusive totals upward so parents
-        can expose exclusive (self-only) figures.
+        Spans nest per thread: a span opened while another is open in
+        the same thread records that parent, and on exit reports its
+        inclusive totals upward so parents can expose exclusive
+        (self-only) figures.  With a session, the span is also one of
+        the session's :attr:`~repro.crowd.session.CrowdSession.open_spans`
+        while it is open.
         """
-        parent = self._span_stack[-1] if self._span_stack else None
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        parent = stack[-1] if stack else None
         span = Span(
             name=name,
             parent=parent.name if parent is not None else None,
-            depth=len(self._span_stack),
+            depth=len(stack),
             attrs=dict(attrs),
         )
         if session is not None:
             span._cost0, span._rounds0 = session.spent()
             span.cost = 0
             span.rounds = 0
+            session.open_spans.append(span)
         span._started = time.perf_counter()
-        self._span_stack.append(span)
+        stack.append(span)
         try:
             yield span
         finally:
-            self._span_stack.pop()
+            stack.pop()
             span.seconds = time.perf_counter() - span._started
             if session is not None:
+                session.open_spans.pop()
                 cost, rounds = session.spent()
                 span.cost = cost - span._cost0
                 span.rounds = rounds - span._rounds0
@@ -496,14 +508,6 @@ class MetricsRegistry:
         event = {"type": "span", **span.to_dict()}
         for listener in list(self._listeners):
             listener(event)
-
-    def active_spans(self) -> list[str]:
-        """Names of the currently open spans, outermost first.
-
-        The innermost name is the live "phase" a progress endpoint
-        reports; safe to call from a scrape thread (a snapshot copy).
-        """
-        return [span.name for span in list(self._span_stack)]
 
     # ------------------------------------------------------------------
     # structured events (flight recorder / streaming sinks)
@@ -742,7 +746,7 @@ class MetricsRegistry:
             self._histograms.clear()
             self.spans.clear()
             self.dropped_spans = 0
-            self._span_stack.clear()
+            self._local = threading.local()
             self._listeners.clear()
             self._help.clear()
 

@@ -8,7 +8,8 @@ library already produces and serves four read-only endpoints:
 ``/metrics``
     The registry's Prometheus text exposition (scrape it).
 ``/healthz``
-    Liveness: ``{"status": "ok", "uptime_seconds": ...}``.
+    Liveness: ``{"status": "ok", "uptime_seconds": ...}`` plus the names
+    of the running queries.
 ``/queries``
     Live progress of every registered query session — current phase,
     partition round, items resolved/deferred, budget spent vs. cap,
@@ -319,8 +320,9 @@ class ObservatoryServer:
         process-wide registry *at serve time*, so ``use_registry`` scopes
         apply.
     queries:
-        The :class:`QueryBoard` behind ``/queries`` (a fresh empty board
-        by default).
+        The :class:`QueryBoard` behind ``/queries`` and the query names of
+        ``/healthz`` (a fresh empty board by default).  An attached
+        service's handles take its place.
     recorder:
         The :class:`~repro.telemetry.recorder.FlightRecorder` behind
         ``/events`` (absent → the endpoint reports an empty tail).
@@ -345,9 +347,7 @@ class ObservatoryServer:
         port: int = 0,
     ) -> None:
         self._registry = registry
-        if queries is None:
-            queries = service.board if service is not None else QueryBoard()
-        self.queries = queries
+        self.queries = queries if queries is not None else QueryBoard()
         self.recorder = recorder
         self.service = service
         self.host = host
@@ -430,10 +430,18 @@ class ObservatoryServer:
             if self._started_at is not None
             else 0.0
         )
+        if self.service is not None:
+            queries = sorted(
+                f"{handle.id}:{handle.spec.display_name}"
+                for handle in self.service.handles()
+                if handle.status() == "running"
+            )
+        else:
+            queries = self.queries.names()
         return {
             "status": "ok",
             "uptime_seconds": round(uptime, 3),
-            "queries": self.queries.names(),
+            "queries": queries,
             "recorder_events": (
                 self.recorder.events_seen if self.recorder is not None else 0
             ),

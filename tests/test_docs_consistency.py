@@ -47,11 +47,15 @@ class TestDesignIndex:
         assert not missing, missing
 
     def test_modules_named_in_design_exist(self):
-        design = read("DESIGN.md")
-        referenced = set(re.findall(r"`(repro/[\w/]+\.py)`", design))
+        # DESIGN.md indexes the modules; the README and the docs name
+        # them in prose and must not point at deleted ones either.
+        pages = ["DESIGN.md", "README.md"] + sorted(
+            str(path.relative_to(ROOT)) for path in (ROOT / "docs").glob("*.md")
+        )
         missing = [
-            module
-            for module in referenced
+            f"{page}: {module}"
+            for page in pages
+            for module in sorted(set(re.findall(r"`(repro/[\w/]+\.py)`", read(page))))
             if not (ROOT / "src" / module).exists()
         ]
         assert not missing, missing

@@ -2,11 +2,9 @@
 
 import json
 
-from repro import (
-    load_dataset,
-    spr_topk,
-    trace_session,
-)
+import pytest
+
+from repro import FlightRecorder, load_dataset, spr_topk
 from repro.reports import explain_query
 from repro.telemetry import MetricsRegistry, use_registry
 from tests.conftest import make_latent_session
@@ -19,11 +17,9 @@ def _traced_query(n_items=25, k=5, seed=2):
     working = dataset.sample_items(n_items)
     with use_registry(MetricsRegistry()) as registry:
         session = dataset.session(seed=seed)
-        with trace_session(session) as trace:
+        with FlightRecorder(capacity=None).attach(session=session) as recorder:
             result = spr_topk(session, working.ids.tolist(), k=k)
-        report = explain_query(
-            session, trace, result.topk, method="spr", k=k, registry=registry
-        )
+        report = explain_query(session, recorder, result.topk, method="spr", k=k)
         microtasks = int(registry.counter_total("crowd_microtasks_total"))
     return session, report, microtasks
 
@@ -52,14 +48,28 @@ class TestReconciliation:
         assert {"spr.select", "spr.partition", "spr.rank"} <= names
         # exclusive per-phase costs are disjoint, so they sum to the total
         assert sum(p["cost"] for p in report.phases) == session.total_cost
+        # a row counts the comparisons recorded under it, not its spans
+        assert sum(p["comparisons"] for p in report.phases) == (
+            report.total_comparisons
+        )
+        assert all(p["seconds"] >= 0 for p in report.phases)
+
+    def test_a_bounded_recorder_is_refused(self):
+        session = make_latent_session([0.0, 8.0, 4.0], sigma=0.5, seed=1)
+        recorder = FlightRecorder(capacity=1).attach(session=session)
+        session.compare(0, 1)
+        session.compare(2, 1)
+        with pytest.raises(ValueError, match="capacity=None"):
+            explain_query(session, recorder, (1,), k=1)
 
 
 class TestTrails:
     def test_every_topk_member_has_a_trail_from_its_perspective(self):
         session = make_latent_session(SCORES, sigma=0.5, seed=5)
-        with trace_session(session) as trace:
-            result = spr_topk(session, list(range(len(SCORES))), k=3)
-        report = explain_query(session, trace, result.topk, k=3)
+        with use_registry(MetricsRegistry()):
+            with FlightRecorder(capacity=None).attach(session=session) as recorder:
+                result = spr_topk(session, list(range(len(SCORES))), k=3)
+            report = explain_query(session, recorder, result.topk, k=3)
         assert set(report.trails) == set(result.topk)
         for member, trail in report.trails.items():
             for entry in trail:
@@ -68,9 +78,9 @@ class TestTrails:
 
     def test_outcomes_flip_for_the_right_operand(self):
         session = make_latent_session([0.0, 8.0], sigma=0.5, seed=1)
-        with trace_session(session) as trace:
+        with FlightRecorder(capacity=None).attach(session=session) as recorder:
             session.compare(0, 1)  # item 1 should win as the right operand
-        report = explain_query(session, trace, (1,), k=1)
+        report = explain_query(session, recorder, (1,), k=1)
         (entry,) = report.trails[1]
         assert entry.opponent == 0
         assert entry.outcome == "WIN"

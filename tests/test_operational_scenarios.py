@@ -10,14 +10,17 @@ import pytest
 from repro import (
     ComparisonConfig,
     CrowdSession,
+    FlightRecorder,
     LatentScoreOracle,
+    MetricsRegistry,
     SPRConfig,
+    explain_query,
     load_cache,
     ndcg_at_k,
     plan_query,
     save_cache,
     spr_topk,
-    trace_session,
+    use_registry,
 )
 from repro.crowd.marketplace import MarketplaceModel, rounds_from_session
 from repro.crowd.workers import GaussianNoise
@@ -59,15 +62,16 @@ class TestPlanRunAuditLoop:
 
     def test_trace_marketplace_chain(self):
         session = fresh_session(seed=5)
-        trace = trace_session(session)
-        spr_topk(session, list(range(30)), 4)
-        trace.finish(session)
+        with use_registry(MetricsRegistry()):
+            with FlightRecorder(capacity=None).attach(session=session) as recorder:
+                result = spr_topk(session, list(range(30)), 4)
+            explained = explain_query(session, recorder, result.topk, k=4)
         report = MarketplaceModel(n_workers=15).simulate(
             rounds_from_session(session), seed=1
         )
         assert report.tasks_posted >= session.total_cost
         assert report.hours > 0
-        assert sum(s.cost for s in trace.phase_summaries()) == session.total_cost
+        assert sum(row["cost"] for row in explained.phases) == session.total_cost
 
 
 class TestPersistenceAcrossSubsystems:

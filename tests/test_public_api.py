@@ -1,5 +1,6 @@
 """Public-API hygiene: exports resolve, are documented, and stay stable."""
 
+import importlib
 import inspect
 import pathlib
 
@@ -53,7 +54,6 @@ PUBLIC_API = [
     "QueryPlan",
     "QueryService",
     "QuerySpec",
-    "QueryTrace",
     "RacingPool",
     "RecordDatabaseOracle",
     "ResiliencePolicy",
@@ -105,7 +105,6 @@ PUBLIC_API = [
     "top_k_precision",
     "top_k_recall",
     "tournament_topk",
-    "trace_session",
     "use_registry",
 ]
 
@@ -142,6 +141,14 @@ class TestPublicApiSnapshot:
             "parse_address",
         ):
             assert name in repro.__all__, name
+
+    def test_explain_has_one_trace_model(self):
+        # Explain reads the flight recorder and the query's spans; the
+        # old per-session trace module is gone, not kept as a second path.
+        for name in ("QueryTrace", "trace_session", "ComparisonEvent", "PhaseSummary"):
+            assert not hasattr(repro, name), name
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.tracing")
 
     def test_bdp_surface_is_public(self):
         # The second algorithm family: the BDP ranker, its resume entry
@@ -212,7 +219,7 @@ class TestTopLevelExports:
     def test_core_entry_points_present(self):
         for name in (
             "spr_topk", "CrowdSession", "ComparisonConfig", "SPRConfig",
-            "load_dataset", "ndcg_at_k", "plan_query", "trace_session",
+            "load_dataset", "ndcg_at_k", "plan_query", "explain_query",
             "save_cache",
         ):
             assert name in repro.__all__, name

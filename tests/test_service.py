@@ -199,6 +199,27 @@ class TestConcurrentTenants:
         assert registry.counter_total("service_cache_hits_total") > 0
         assert registry.counter_total("service_queries_total") == 8
 
+    def test_two_workers_keep_each_query_span_tree_apart(self):
+        # spr opens its phase spans one after another, so every span of a
+        # query is a root; with two queries running at once, a span stack
+        # shared between threads would nest one query's spans in the
+        # other's and give the outer one a negative exclusive cost.
+        registry = MetricsRegistry()
+        with make_service(max_workers=2, registry=registry) as service:
+            handles = [
+                service.submit(BASE.with_(seed=n, n_items=40)) for n in range(8)
+            ]
+            outcomes = [handle.result(timeout=300) for handle in handles]
+        spans = registry.spans
+        assert len(spans) >= 3 * len(handles)
+        assert [(s.parent, s.depth) for s in spans] == [(None, 0)] * len(spans)
+        for span in spans:
+            assert span.exclusive_cost >= 0 and span.exclusive_rounds >= 0
+            assert span.exclusive_seconds >= 0
+        assert sum(s.exclusive_cost for s in spans) == sum(
+            outcome.cost for outcome in outcomes
+        )
+
     def test_queries_document_carries_tenants_and_slas(self):
         with make_service(max_workers=2) as service:
             service.submit(BASE.with_(latency_sla=9_999)).result(timeout=120)
@@ -478,6 +499,25 @@ class TestServiceOverHttp:
                 assert status == 202
                 assert pending == parked.to_document()
                 assert pending["status"] == "queued"
+                parked.cancel()
+                running.cancel()
+
+    def test_healthz_names_the_running_queries(self):
+        with make_service(max_workers=1, capacity=500_000) as service:
+            with ObservatoryServer(
+                registry=service.registry, service=service
+            ) as observatory:
+                running = service.submit(
+                    BASE.with_(method="bdp", n_items=25, tenant="slow")
+                )
+                parked = service.submit(BASE.with_(seed=2))
+                while running.status() == "queued":
+                    time.sleep(0.005)
+                status, health = _http(observatory.url, "GET", "/healthz")
+                assert status == 200
+                assert health["queries"] == [
+                    f"{running.id}:{running.spec.display_name}"
+                ]
                 parked.cancel()
                 running.cancel()
 

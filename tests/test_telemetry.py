@@ -89,6 +89,18 @@ class TestThreadSafety:
         clone.expose_text()
         assert clone.counter_value("c_total") == 4
 
+    def test_pickling_and_reset_drop_the_open_spans(self):
+        registry = MetricsRegistry()
+        with registry.span("outer"):
+            clone = pickle.loads(pickle.dumps(registry))
+            registry.reset()
+            with clone.span("inner"), registry.span("fresh"):
+                pass
+        assert [(s.name, s.parent) for s in clone.spans] == [("inner", None)]
+        assert [(s.name, s.parent) for s in registry.spans] == [
+            ("fresh", None), ("outer", None),
+        ]
+
 
 class TestEvents:
     def test_emit_broadcasts_to_listeners(self):
@@ -174,6 +186,51 @@ class TestSpans:
         assert outer.child_cost == 7
         assert outer.exclusive_cost == 7
         assert outer.exclusive_cost + inner.exclusive_cost == session.total_cost
+
+    def test_threads_nest_their_own_spans(self):
+        # Two queries on one registry, each in its own thread, with their
+        # spans open at the same time: each nests under its own parent,
+        # and each session reports its own open spans to a third thread.
+        registry = MetricsRegistry()
+        step = threading.Barrier(3, timeout=30)
+        sessions = {
+            name: make_latent_session([0.0, 3.0, 6.0]) for name in ("a", "b")
+        }
+
+        def query(name):
+            session = sessions[name]
+            with registry.span(f"{name}.outer", session=session):
+                step.wait()  # both outer spans open
+                with registry.span(f"{name}.inner", session=session):
+                    session.charge_cost(5)
+                    step.wait()  # both inner spans open
+                    step.wait()  # the main thread has read progress
+                session.charge_cost(2)
+
+        with use_registry(registry):
+            threads = [
+                threading.Thread(target=query, args=(name,)) for name in sessions
+            ]
+            for thread in threads:
+                thread.start()
+            step.wait()
+            step.wait()
+            progress = {name: s.progress() for name, s in sessions.items()}
+            step.wait()
+            for thread in threads:
+                thread.join(timeout=30)
+
+        for name in sessions:
+            assert progress[name]["open_spans"] == [f"{name}.outer", f"{name}.inner"]
+            assert progress[name]["phase"] == f"{name}.inner"
+            assert sessions[name].open_spans == []
+        spans = {span.name: span for span in registry.spans}
+        for name in sessions:
+            inner, outer = spans[f"{name}.inner"], spans[f"{name}.outer"]
+            assert (inner.parent, inner.depth) == (outer.name, 1)
+            assert (outer.parent, outer.depth) == (None, 0)
+            assert (outer.exclusive_cost, inner.exclusive_cost) == (2, 5)
+            assert outer.exclusive_seconds >= 0
 
     def test_span_survives_exceptions(self):
         registry = MetricsRegistry()

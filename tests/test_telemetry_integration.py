@@ -1,4 +1,4 @@
-"""Telemetry wired through sessions, SPR, the runner, tracing and the CLI."""
+"""Telemetry wired through sessions, SPR, the runner, recorders and the CLI."""
 
 import logging
 import re
@@ -12,8 +12,7 @@ from repro.crowd.oracle import JudgmentOracle, BinaryOracle
 from repro.errors import BudgetExhaustedError
 from repro.experiments import ExperimentParams
 from repro.experiments.runner import run_method
-from repro.telemetry import use_registry, read_jsonl
-from repro.tracing import trace_session
+from repro.telemetry import FlightRecorder, use_registry, read_jsonl
 from tests.conftest import make_latent_session
 
 SCORES = [float(i) for i in range(20)]
@@ -124,56 +123,58 @@ class TestRunnerInstrumentation:
 
 
 class TestTracingDetach:
+    """A flight recorder's subscription to a session's comparisons."""
+
     def test_detach_stops_recording(self):
         session = fresh_session()
-        trace = trace_session(session)
+        recorder = FlightRecorder().attach(session=session)
         session.compare(10, 0)
-        trace.detach()
+        recorder.detach()
         session.compare(11, 0)
-        assert trace.total_comparisons == 1
+        assert recorder.events_seen == 1
 
     def test_double_attachment_does_not_double_count(self):
         session = fresh_session()
-        trace = trace_session(session)
-        trace.attach(session)  # second attachment must be a no-op
+        recorder = FlightRecorder().attach(session=session)
+        recorder.attach(session=session)  # second attachment must be a no-op
         session.compare(10, 0)
-        assert trace.total_comparisons == 1
+        assert recorder.events_seen == 1
 
     def test_detach_is_idempotent(self):
         session = fresh_session()
-        trace = trace_session(session)
-        trace.detach()
-        trace.detach()
+        recorder = FlightRecorder().attach(session=session)
+        recorder.detach()
+        recorder.detach()
         session.compare(10, 0)
-        assert trace.total_comparisons == 0
+        assert recorder.events_seen == 0
 
     def test_attach_to_second_session_requires_detach(self):
         session = fresh_session()
         other = fresh_session()
-        trace = trace_session(session)
+        recorder = FlightRecorder().attach(session=session)
         with pytest.raises(ValueError):
-            trace.attach(other)
-        trace.detach()
-        trace.attach(other)
+            recorder.attach(session=other)
+        recorder.detach()
+        recorder.attach(session=other)
         other.compare(10, 0)
-        assert trace.total_comparisons == 1
+        assert recorder.events_seen == 1
 
     def test_context_manager_detaches_and_finishes(self):
         session = fresh_session()
-        with trace_session(session) as trace:
+        with FlightRecorder().attach(session=session) as recorder:
             session.compare(10, 0)
         session.compare(11, 0)  # after the block: not recorded
-        assert trace.total_comparisons == 1
-        summaries = {s.phase: s for s in trace.phase_summaries()}
-        assert summaries["query"].comparisons == 1
+        (event,) = recorder.tail()
+        assert event["type"] == "comparison"
+        assert event["phase"] is None  # no span was open
 
     def test_two_independent_traces_each_record_once(self):
         session = fresh_session()
-        first = trace_session(session)
-        second = trace_session(session)
+        first = FlightRecorder().attach(session=session)
+        second = FlightRecorder().attach(session=session)
         session.compare(10, 0)
-        assert first.total_comparisons == 1
-        assert second.total_comparisons == 1
+        assert first.events_seen == 1
+        assert second.events_seen == 1
 
 
 class TestOracleAndWorkerCounters:
