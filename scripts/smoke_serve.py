@@ -7,7 +7,8 @@ and ``/queries`` while the query is still running.  Passes only when
 
 * the CLI exits 0 and prints its normal summary,
 * both endpoints answered 200 with the right content type mid-query,
-* ``/queries`` listed the running query by name, and
+* ``/queries`` listed the running query by name,
+* no scraped ``/queries`` row carried an ``error`` key, and
 * a ``/metrics`` scrape exposed ``crowd_microtasks_total``.
 
 Run from the repository root: ``python scripts/smoke_serve.py``.
@@ -80,6 +81,7 @@ def main() -> int:
     metrics_body = ""
     metrics_type = ""
     queries_doc: dict = {}
+    error_rows: list = []
     scrapes = 0
     saw_microtasks = False
     while proc.poll() is None:
@@ -91,6 +93,9 @@ def main() -> int:
             status, body, _ = _scrape(base + "/queries")
             if status == 200:
                 queries_doc = json.loads(body)
+                error_rows += [
+                    row for row in queries_doc["queries"] if "error" in row
+                ]
             scrapes += 1
         except (urllib.error.URLError, ConnectionError, OSError):
             break  # server went down as the query finished
@@ -111,6 +116,8 @@ def main() -> int:
     names = [entry.get("query") for entry in queries_doc.get("queries", [])]
     if QUERY_NAME not in names:
         failures.append(f"/queries never listed {QUERY_NAME!r}: {names}")
+    if error_rows:
+        failures.append(f"/queries rows carried an error: {error_rows[:3]}")
 
     if failures:
         for failure in failures:

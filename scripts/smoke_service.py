@@ -13,6 +13,7 @@ while they run, and waits for every submission.  Passes only when
 * every query completes within its cost SLA (the submit path re-raises
   SLA breaches as non-zero exits, so exit 0 *is* the SLA check),
 * a ``/queries`` scrape listed the service block with both tenants,
+* no scraped ``/queries`` row carried an ``error`` key,
 * a ``/metrics`` scrape exposed ``service_queries_total``, and
 * ``submit --wait`` waited on ``/result`` instead of polling it: the
   final scrape counts at most one ``/result`` request per submit for
@@ -117,11 +118,15 @@ def main() -> int:
         # Scrape while the queries run; keep the freshest documents.
         queries_doc: dict = {}
         metrics_body = ""
+        error_rows: list = []
         while any(proc.poll() is None for proc in submits):
             try:
                 doc = _scrape(base + "/queries")
                 if isinstance(doc, dict) and doc.get("queries"):
                     queries_doc = doc
+                    error_rows += [
+                        row for row in doc["queries"] if "error" in row
+                    ]
                 metrics_body = _scrape(base + "/metrics") or metrics_body
             except OSError:
                 pass
@@ -146,6 +151,11 @@ def main() -> int:
             metrics_body = _scrape(base + "/metrics") or metrics_body
         except OSError:
             pass
+        error_rows += [
+            row for row in queries_doc.get("queries", []) if "error" in row
+        ]
+        if error_rows:
+            failures.append(f"/queries rows carried an error: {error_rows[:3]}")
 
         service_block = queries_doc.get("service") or {}
         if not service_block:

@@ -76,6 +76,7 @@ confidence rule by default, or the PAC ``(ε, δ)`` rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -343,7 +344,7 @@ class BDPRanker:
 
 
 class _BDPState:
-    """Mutable loop state shared with the checkpoint/progress providers."""
+    """Mutable loop state shared with the checkpoint provider."""
 
     def __init__(self, ids: list[int], shapes: np.ndarray) -> None:
         n = len(ids)
@@ -485,12 +486,13 @@ def _run(
             "rounds_before": spent_before[1],
         }
 
-    def _progress() -> dict:
-        return {
+    def _publish_progress() -> None:
+        # At a round boundary; the loss is left to whoever reads it.
+        session.publish_progress("bdp", {
             "comparisons": state.comparisons,
             "ties": state.ties,
-            "loss": ranking_loss(state.shapes),
-        }
+            "loss": partial(ranking_loss, state.shapes.copy()),
+        })
 
     def _purchase(pairs: list[tuple[int, int]]) -> None:
         """Buy ``pairs`` through the session and fold in the verdicts."""
@@ -508,10 +510,11 @@ def _run(
             state.shapes[w], state.shapes[l] = moment_match(
                 state.shapes[w], state.shapes[l]
             )
+        _publish_progress()
 
     telemetry = session.telemetry
     owns_checkpoint = session.register_state_provider("bdp", _provider)
-    session.register_progress_provider("bdp", _progress)
+    _publish_progress()
     exhausted = False
     try:
         with telemetry.span("bdp.query", session=session, items=len(ids), k=k):
@@ -531,7 +534,7 @@ def _run(
     finally:
         if owns_checkpoint:
             session.unregister_state_provider("bdp")
-        session.unregister_progress_provider("bdp")
+        session.publish_progress("bdp", None)
     return measured(
         "bdp",
         session,

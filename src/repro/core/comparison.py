@@ -29,6 +29,8 @@ from .outcomes import Outcome
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from ..crowd.oracle import JudgmentOracle
+    from ..crowd.session import CrowdSession
+    from ..telemetry import MetricsRegistry
 
 __all__ = ["Comparator", "ComparisonRecord"]
 
@@ -188,9 +190,8 @@ class Comparator:
                 "the hoeffding estimator requires an oracle with bounded support"
             )
 
-    def _judgments_counter(self):
+    def _judgments_counter(self, registry: "MetricsRegistry"):
         """The hot-path counter handle, re-bound when the registry changes."""
-        registry = get_registry()
         cached = self._instrument_cache
         if cached is None or cached[0] is not registry:
             cached = (registry, registry.counter("oracle_judgments_total"))
@@ -198,12 +199,24 @@ class Comparator:
         return cached[1]
 
     def compare(
-        self, i: int, j: int, rng: np.random.Generator
+        self,
+        i: int,
+        j: int,
+        rng: np.random.Generator,
+        session: "CrowdSession | None" = None,
     ) -> ComparisonRecord:
         """Run ``COMP(o_i, o_j)``: replay the cache, then buy until a verdict.
 
         Returns a :class:`ComparisonRecord`; never raises on indecision —
-        budget exhaustion is the tie outcome, as in the paper.
+        budget exhaustion is the tie outcome, as in the paper.  The
+        comparison counts into ``session``'s registry and degraded-tie
+        tally (without a session, into the ambient registry).
+
+        Against a faulty platform each round consumes what arrives, as a
+        racing pool does: lost tasks are never consumed, charged, or
+        cached; delivery-free rounds go through the
+        :class:`~repro.config.RetryPolicy`, and ``max_attempts`` of them in
+        a row or a passed ``deadline_rounds`` degrade the pair to a tie.
         """
         config = self.config
         tester = make_tester(config, self.oracle.value_range)
@@ -219,29 +232,43 @@ class Comparator:
                     i, j, tester.n,
                 )
 
+        retry = config.resilience.retry
+        deadline = retry.deadline_rounds
+        registry = session.telemetry if session is not None else get_registry()
+        judgments_drawn = self._judgments_counter(registry)
+        injector = self._active_injector()
         cost = 0
         rounds = 0
-        judgments_drawn = self._judgments_counter()
-        injector = self._active_injector()
-        if injector is not None:
-            cost, rounds, decision = self._faulty_buy(
-                i, j, rng, tester, budget, decision, injector
-            )
-        else:
-            deadline = config.resilience.retry.deadline_rounds
-            while decision is None and tester.n < budget:
-                if deadline is not None and rounds >= deadline:
-                    get_registry().counter(
-                        "crowd_degraded_ties_total", reason="deadline"
-                    ).inc()
+        failures = 0
+        degraded = None
+        while decision is None and tester.n < budget:
+            if deadline is not None and rounds >= deadline:
+                degraded = "deadline"
+                break
+            chunk = min(config.batch_size, budget - tester.n)
+            if injector is None:
+                values, drawn = self.oracle.draw(i, j, chunk, rng), chunk
+            else:
+                values, drawn = injector.deliver(i, j, chunk, rng)
+            if drawn:
+                judgments_drawn.inc(drawn)
+            rounds += 1
+            if values.size == 0:
+                failures += 1
+                if failures >= retry.max_attempts:
+                    degraded = "retries"
                     break
-                chunk = min(config.batch_size, budget - tester.n)
-                values = self.oracle.draw(i, j, chunk, rng)
-                judgments_drawn.inc(chunk)
-                consumed, decision = tester.scan(values)
-                self.cache.append(i, j, values[:consumed])
-                cost += consumed
-                rounds += 1
+                registry.counter("crowd_retries_total").inc()
+                rounds += retry.backoff_rounds(failures)  # idle wait
+                continue
+            failures = 0
+            consumed, decision = tester.scan(values[: budget - tester.n])
+            self.cache.append(i, j, values[:consumed])
+            cost += consumed
+        if degraded is not None and session is not None:
+            session.count_degraded_ties(degraded)
+        elif degraded is not None:
+            registry.counter("crowd_degraded_ties_total", reason=degraded).inc()
         if decision is None and logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "budget tie: COMP(%d, %d) undecided after %d samples (B=%d)",
@@ -269,60 +296,6 @@ class Comparator:
         if isinstance(oracle, FaultInjector) and oracle.enabled:
             return oracle
         return None
-
-    def _faulty_buy(
-        self,
-        i: int,
-        j: int,
-        rng: np.random.Generator,
-        tester,
-        budget: int,
-        decision: int | None,
-        injector,
-    ) -> tuple[int, int, int | None]:
-        """The buy loop against a faulty platform: consume what arrives.
-
-        Mirrors the racing pool's semantics for a single pair: lost tasks
-        are never consumed, charged, or cached; delivery-free rounds go
-        through the :class:`~repro.config.RetryPolicy` (backoff waits burn
-        latency rounds); ``max_attempts`` delivery-free rounds in a row or
-        a passed ``deadline_rounds`` degrade the pair to a tie with the
-        same undecided semantics as budget exhaustion.
-        """
-        config = self.config
-        retry = config.resilience.retry
-        deadline = retry.deadline_rounds
-        judgments_drawn = self._judgments_counter()
-        registry = get_registry()
-        cost = 0
-        rounds = 0
-        failures = 0
-        while decision is None and tester.n < budget:
-            if deadline is not None and rounds >= deadline:
-                registry.counter(
-                    "crowd_degraded_ties_total", reason="deadline"
-                ).inc()
-                break
-            chunk = min(config.batch_size, budget - tester.n)
-            values, drawn = injector.deliver(i, j, chunk, rng)
-            if drawn:
-                judgments_drawn.inc(drawn)
-            rounds += 1
-            if values.size == 0:
-                failures += 1
-                if failures >= retry.max_attempts:
-                    registry.counter(
-                        "crowd_degraded_ties_total", reason="retries"
-                    ).inc()
-                    break
-                registry.counter("crowd_retries_total").inc()
-                rounds += retry.backoff_rounds(failures)  # idle wait
-                continue
-            failures = 0
-            consumed, decision = tester.scan(values[: budget - tester.n])
-            self.cache.append(i, j, values[:consumed])
-            cost += consumed
-        return cost, rounds, decision
 
     def moments(self, i: int, j: int) -> tuple[int, float, float]:
         """``(n, mean, variance)`` of the stored bag for ``(i, j)``."""

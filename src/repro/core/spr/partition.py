@@ -186,19 +186,6 @@ def partition(
         "partition", _provider
     )
 
-    def _progress() -> dict:
-        # Cheap, read-only, safe at any instant — the observatory's
-        # /queries endpoint may call this from another thread mid-round.
-        return {
-            "reference": int(reference),
-            "reference_changes": changes,
-            "winners": len(winners),
-            "ties": len(ties),
-            "losers": len(losers),
-            "pool": pool.progress(step),
-        }
-
-    owns_progress = session.register_progress_provider("partition", _progress)
     try:
         while True:
             new_ties = 0
@@ -221,6 +208,16 @@ def partition(
                 # counter lookup per tie.
                 telemetry.counter("spr_deferments_total").add(new_ties)
             resolved_backlog = []
+            # Round boundary: publish the loop's progress, leaving the
+            # pool's tallies to whoever reads it.
+            session.publish_progress("partition", {
+                "reference": reference,
+                "reference_changes": changes,
+                "winners": len(winners),
+                "ties": len(ties),
+                "losers": len(losers),
+                "pool": pool.deferred_progress(step),
+            })
             if owns_checkpoint:
                 # Round boundary with the backlog folded: the one safe
                 # point where the provider's document fully describes the
@@ -267,8 +264,7 @@ def partition(
     finally:
         if owns_checkpoint:
             session.unregister_state_provider("partition")
-        if owns_progress:
-            session.unregister_progress_provider("partition")
+        session.publish_progress("partition", None)
 
     # Line 13: the reference is itself a top-k candidate when fewer than k
     # items beat it; otherwise it is dominated by k confirmed items.

@@ -25,6 +25,7 @@ takes the historical code path bit for bit.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,6 +57,36 @@ def _index(size: int) -> np.ndarray:
     if _INDEX.size < size:
         _INDEX = np.arange(2 * size, dtype=np.int64)
     return _INDEX
+
+
+def pool_tally(
+    status: np.ndarray, n: np.ndarray, budget: int, step: int, rounds_done: int
+) -> dict:
+    """A racing pool's progress from its per-pair ``status`` and sample
+    counts ``n``.
+
+    ``est_rounds_remaining`` is the worst-case schedule left: the widest
+    remaining per-pair budget divided by the round ``step``.  An upper
+    bound — pairs usually resolve before exhausting B — but a bound an
+    operator can watch shrink.
+    """
+    # One shifted bincount over the status codes (-1..3) tallies them all.
+    tally = np.bincount(status.astype(np.intp) + 1, minlength=DEACTIVATED + 2)
+    active = int(tally[ACTIVE + 1])
+    if active:
+        widest = int(budget - np.min(n, initial=budget, where=status == ACTIVE))
+        est_remaining = max(-(-widest // max(step, 1)), 1)
+    else:
+        est_remaining = 0
+    return {
+        "pairs": int(status.size),
+        "active": active,
+        "decided": int(tally[DECIDED_LEFT + 1] + tally[DECIDED_RIGHT + 1]),
+        "ties": int(tally[TIE + 1]),
+        "rounds_done": rounds_done,
+        "est_rounds_remaining": est_remaining,
+        "consumed_microtasks": int(n.sum()),
+    }
 
 
 def _rows(indices: np.ndarray, count: int) -> "np.ndarray | slice":
@@ -318,45 +349,15 @@ class RacingPool:
         return float(self.s1[idx] / n) if n else math.nan
 
     def progress(self, step: int | None = None) -> dict:
-        """A cheap, read-only live snapshot for the observatory.
+        """The pool's tallies for the observatory (see :func:`pool_tally`)."""
+        return self.deferred_progress(step)()
 
-        ``est_rounds_remaining`` is the worst-case schedule left: the
-        widest remaining per-pair budget divided by the round step.  An
-        upper bound — pairs usually resolve before exhausting B — but a
-        bound an operator can watch shrink.  Safe to call from another
-        thread mid-round: it only reads fixed-size arrays, so the worst
-        outcome is a one-round-stale number.
-        """
+    def deferred_progress(self, step: int | None = None) -> partial:
+        """:func:`pool_tally` over copies of the pool's state, for a
+        reader's thread to call later."""
         step = self.config.batch_size if step is None else int(step)
-        # One tally pass over the SoA status array (codes are -1..3, so a
-        # shifted bincount covers the whole byte range) instead of one
-        # boolean scan per status — a scrape costs O(pairs) once, with no
-        # per-pair Python objects.
-        tally = np.bincount(
-            self.status.astype(np.intp) + 1, minlength=DEACTIVATED + 2
-        )
-        active = int(tally[ACTIVE + 1])
-        decided = int(tally[DECIDED_LEFT + 1] + tally[DECIDED_RIGHT + 1])
-        ties = int(tally[TIE + 1])
-        if active:
-            widest = int(
-                self._budget
-                - np.min(
-                    self.n, initial=self._budget, where=self.status == ACTIVE
-                )
-            )
-            est_remaining = max(-(-widest // max(step, 1)), 1)
-        else:
-            est_remaining = 0
-        return {
-            "pairs": self.size,
-            "active": active,
-            "decided": decided,
-            "ties": ties,
-            "rounds_done": int(self._rounds_done),
-            "est_rounds_remaining": est_remaining,
-            "consumed_microtasks": int(self.n.sum()),
-        }
+        return partial(pool_tally, self.status.copy(), self.n.copy(),
+                       self._budget, step, int(self._rounds_done))
 
     # ------------------------------------------------------------------
     def round(self, step: int | None = None) -> list[tuple[int, int]]:
@@ -559,9 +560,7 @@ class RacingPool:
         """Degrade every still-active pair to a tie: the deadline passed."""
         self.status[active] = TIE
         resolved = [(idx, 0) for idx in active.tolist()]
-        self._counter("crowd_degraded_ties_total", reason="deadline").add(
-            int(active.size)
-        )
+        self.session.count_degraded_ties("deadline", int(active.size))
         if self._telemetry.has_listeners:  # the pair list is listener-only
             self._telemetry.emit(
                 "degraded_tie",
@@ -589,9 +588,7 @@ class RacingPool:
         if exhausted.size:
             self.status[exhausted] = TIE
             resolved.extend((idx, 0) for idx in exhausted.tolist())
-            self._counter("crowd_degraded_ties_total", reason="retries").add(
-                int(exhausted.size)
-            )
+            self.session.count_degraded_ties("retries", int(exhausted.size))
             if self._telemetry.has_listeners:
                 self._telemetry.emit(
                     "degraded_tie",

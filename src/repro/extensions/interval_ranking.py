@@ -179,5 +179,6 @@ def interval_partial_order(
         estimates.append(
             IntervalEstimate(item=item, lower=mean - half, upper=mean + half, n=n)
         )
-    session.latency.add_parallel(group_rounds)
+    # The items sample in parallel: the group takes its slowest item's rounds.
+    session.charge_rounds(max(group_rounds, default=0))
     return PartialOrder(estimates)

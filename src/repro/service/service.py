@@ -135,10 +135,7 @@ class QueryHandle:
         }
         session = self._session
         if self._status == "running" and session is not None:
-            try:
-                doc.update(session.progress())
-            except Exception as exc:  # torn mid-round read: degrade
-                doc["error"] = f"{type(exc).__name__}: {exc}"
+            doc.update(session.progress())
         elif self.outcome is not None:
             doc["cost"] = self.outcome.cost
             doc["rounds"] = self.outcome.rounds

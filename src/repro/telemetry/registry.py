@@ -448,7 +448,7 @@ class MetricsRegistry:
         return self._help.get(name) or METRIC_HELP.get(name)
 
     # ------------------------------------------------------------------
-    # spans and timers
+    # spans
     # ------------------------------------------------------------------
     @contextmanager
     def span(
@@ -538,15 +538,6 @@ class MetricsRegistry:
         event = {"type": event_type, **fields}
         for listener in list(self._listeners):
             listener(event)
-
-    @contextmanager
-    def timer(self, name: str, **labels: object) -> Iterator[None]:
-        """Observe the wall time of a region into histogram ``name``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.histogram(name, **labels).observe(time.perf_counter() - started)
 
     # ------------------------------------------------------------------
     # listeners (streaming sinks subscribe here)

@@ -111,14 +111,12 @@ class QueryBoard:
         """One JSON-ready document covering every registered query."""
         with self._lock:
             sessions = dict(self._sessions)
-        queries = []
-        for name in sorted(sessions):
-            try:
-                doc = sessions[name].progress()
-            except Exception as exc:  # torn mid-mutation read: report, don't die
-                doc = {"error": f"{type(exc).__name__}: {exc}"}
-            queries.append({"query": name, **doc})
-        return {"queries": queries}
+        return {
+            "queries": [
+                {"query": name, **sessions[name].progress()}
+                for name in sorted(sessions)
+            ]
+        }
 
 
 #: Process-wide default board.  Publishers that outlive any single server

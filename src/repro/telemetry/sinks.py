@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Mapping
 from pathlib import Path
 from typing import IO, TYPE_CHECKING
 
@@ -100,9 +101,9 @@ def read_jsonl(path: str | Path) -> list[dict[str, object]]:
 
 
 def _jsonable(value: object) -> object:
-    """Fallback serializer for numpy scalars and similar."""
-    for attribute in ("item",):
-        method = getattr(value, attribute, None)
-        if callable(method):
-            return method()
-    return str(value)
+    """Fallback serializer for numpy scalars, read-only mappings (a
+    query's progress sections) and similar."""
+    if isinstance(value, Mapping):
+        return dict(value)
+    item = getattr(value, "item", None)
+    return item() if callable(item) else str(value)
