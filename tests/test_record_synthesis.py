@@ -167,12 +167,10 @@ def historical_race(session, pairs):
     replayed = pool.n.copy()
     code_of = dict(pool.initial_decisions)
     rounds_of = [0] * len(unique)
-    round_no = 0
     while not pool.is_done:
-        round_no += 1
         for idx, code in pool.round():
             code_of[idx] = code
-            rounds_of[idx] = round_no
+            rounds_of[idx] = pool._rounds_done
 
     records: list[tuple[ComparisonRecord, bool]] = []
     seen: set[int] = set()
