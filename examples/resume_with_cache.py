@@ -44,7 +44,6 @@ def main() -> None:
     # Day 2, new process: top-5 over the same items, warm-started.
     day2 = fresh_session(seed=2)
     day2.cache = load_cache(state_file)
-    day2.comparator.cache = day2.cache
     result2 = spr_topk(day2, list(range(len(SCORES))), k=5)
     print(f"day 2: top-5 = {list(result2.topk)}, "
           f"cost = {day2.total_cost:,} new microtasks")

@@ -42,7 +42,7 @@ from .config import (
     SPRConfig,
     default_resilience,
 )
-from .core import Comparator, ComparisonRecord, ItemSet, JudgmentCache, Outcome
+from .core import ComparisonRecord, ItemSet, JudgmentCache, Outcome
 from .core.estimators import PACTester
 from .core.stopping import ConfidenceStopping, PACStopping, stopping_from_document
 from .core.spr import (
@@ -120,7 +120,6 @@ __all__ = [
     "BDPRanker",
     "BinaryOracle",
     "BudgetExhaustedError",
-    "Comparator",
     "ComparisonConfig",
     "ComparisonRecord",
     "ConfidenceStopping",

@@ -49,20 +49,26 @@ def make_latent_session(
     return CrowdSession(oracle, ComparisonConfig(**defaults), seed=seed)
 
 
+#: The racing group engine, held before any test patches it out.
+race_group = CrowdSession.compare_many
+
+
 def per_pair_compare_many(session: CrowdSession, pairs) -> list:
-    """A parallel comparison group as one :meth:`CrowdSession.compare`
-    per pair, in input order, billed the max of their rounds (§5.5).
+    """A parallel comparison group as one single comparison per pair, in
+    input order, billed the max of their rounds (§5.5).
 
     The reference racing groups are held to: it draws the same judgment
-    distribution one pair at a time.  Install it with
+    distribution one pair at a time, as :meth:`CrowdSession.compare`
+    does.  Install it with
     ``monkeypatch.setattr(CrowdSession, "compare_many", per_pair_compare_many)``
     to run a whole algorithm under it (forked sessions share the class).
     """
     group = plan_group(pairs)
-    records = [
-        session.compare(i, j, charge_latency=False)
-        for i, j in zip(group.lefts, group.rights)
-    ]
+    records = []
+    for i, j in zip(group.lefts, group.rights):
+        rounds = session.latency.rounds
+        records.append(race_group(session, ((i, j),))[0])
+        session.latency.rounds = rounds  # the group is billed below
     session.latency.add_parallel([r.rounds for r in records])
     return records
 

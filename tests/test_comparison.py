@@ -7,9 +7,9 @@ import pytest
 
 from repro.config import ComparisonConfig
 from repro.core.cache import JudgmentCache
-from repro.core.comparison import Comparator
 from repro.core.outcomes import Outcome
 from repro.crowd.oracle import LatentScoreOracle
+from repro.crowd.session import CrowdSession
 from repro.crowd.workers import GaussianNoise
 from tests.conftest import make_latent_session
 
@@ -62,14 +62,19 @@ class TestCaching:
         assert flipped.outcome is Outcome.RIGHT
 
     def test_cache_shared_across_comparators(self):
+        # Two sessions on one cache: the second replays the first's bag.
         oracle = LatentScoreOracle(np.array([0.0, 5.0]), GaussianNoise(0.5))
         cache = JudgmentCache()
         config = ComparisonConfig(min_workload=2, budget=100)
-        rng = np.random.default_rng(0)
-        first = Comparator(oracle, config, cache).compare(1, 0, rng)
-        second = Comparator(oracle, config, cache).compare(1, 0, rng)
+        sessions = [CrowdSession(oracle, config, seed=seed) for seed in (0, 1)]
+        for session in sessions:
+            session.use_cache(cache)
+        first = sessions[0].compare(1, 0)
+        second = sessions[1].compare(1, 0)
         assert first.cost > 0
         assert second.cost == 0
+        assert second.from_cache
+        assert sessions[1].total_cost == 0
 
     def test_larger_budget_extends_cached_tie(self):
         # A pair tying at budget 50 can be retried at budget 5000: the
@@ -113,6 +118,12 @@ class TestAccounting:
 
 class TestHoeffdingComparator:
     def test_requires_bounded_oracle(self):
+        # Rejected when the session is built, before anything is bought.
         oracle = LatentScoreOracle(np.array([0.0, 1.0]))  # unbounded
         with pytest.raises(ValueError):
-            Comparator(oracle, ComparisonConfig(estimator="hoeffding"))
+            CrowdSession(oracle, ComparisonConfig(estimator="hoeffding"))
+
+    def test_fork_into_hoeffding_requires_bounded_oracle(self):
+        session = make_latent_session([0.0, 1.0])
+        with pytest.raises(ValueError):
+            session.fork(estimator="hoeffding")

@@ -256,7 +256,7 @@ class TestOracleDrawAccounting:
             )
 
     def test_sequential_engine_counts_draws_identically(self):
-        # Single comparisons draw through the Comparator, not a pool: a
+        # Single comparisons race one-pair groups, one after another: a
         # fresh pass over the group, then a cached replay of it.
         oracle = CountingOracle(
             LatentScoreOracle(np.asarray(SCORES), GaussianNoise(1.0))

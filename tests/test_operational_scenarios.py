@@ -82,7 +82,6 @@ class TestPersistenceAcrossSubsystems:
 
         day2 = fresh_session(seed=8)
         day2.cache = load_cache(tmp_path / "bags.npz")
-        day2.comparator.cache = day2.cache
         updated = insert_item(day2, list(result.topk), 29)
         assert updated.accepted  # item 29 has the best score
         assert updated.topk[0] == 29

@@ -76,7 +76,6 @@ class TestOperationalReuse:
 
         second = make_latent_session([0.0, 2.0, 4.0, 6.0], sigma=0.5, seed=2)
         second.cache = load_cache(path)
-        second.comparator.cache = second.cache
         record = second.compare(3, 0)
         assert record.cost == 0
         assert record.from_cache

@@ -186,7 +186,7 @@ class TestOwnCounts:
         sessions = {
             # Close scores, tiny batches, a high cold start: no verdict
             # inside one round, so the 1-round deadline degrades both the
-            # racing pool's pair and the comparator's.
+            # group's pair and the single comparison's.
             "degrading": latent_session(
                 [0.0, 0.01], 3.0, registry, batch_size=5, min_workload=30,
                 resilience=ResiliencePolicy(retry=RetryPolicy(deadline_rounds=1)),

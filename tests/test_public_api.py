@@ -21,7 +21,6 @@ PUBLIC_API = [
     "BDPRanker",
     "BinaryOracle",
     "BudgetExhaustedError",
-    "Comparator",
     "ComparisonConfig",
     "ComparisonRecord",
     "ConfidenceStopping",

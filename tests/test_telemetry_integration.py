@@ -303,42 +303,33 @@ class TestCLITelemetry:
 class TestInstrumentHandleCaching:
     """Hot-path counter handles are cached per registry, not per process.
 
-    ``Comparator`` and ``BinaryOracle`` hoist their ``counter()`` lookups
-    onto cached handles; these regressions pin that the cache is keyed on
-    registry *identity*, so ``use_registry`` scoping still lands counts in
-    the active registry after the handle has been warmed elsewhere.
+    A session without its own registry and ``BinaryOracle`` hoist their
+    ``counter()`` lookups onto cached handles; these regressions pin that
+    the cache is keyed on registry *identity*, so ``use_registry`` scoping
+    still lands counts in the active registry after the handle has been
+    warmed elsewhere.
     """
-
-    @staticmethod
-    def _comparator():
-        from repro.config import ComparisonConfig
-        from repro.core.comparison import Comparator
-        from repro.crowd.oracle import LatentScoreOracle
-        from repro.crowd.workers import GaussianNoise
-
-        oracle = LatentScoreOracle(np.array([0.0, 5.0]), GaussianNoise(0.5))
-        return Comparator(
-            oracle, ComparisonConfig(min_workload=4, budget=100)
-        )
 
     def test_comparator_handle_rebinds_on_registry_change(self):
         from repro.core.cache import JudgmentCache
 
-        comparator = self._comparator()
+        session = make_latent_session([0.0, 5.0], sigma=0.5, min_workload=4)
         with use_registry() as first:
-            record = comparator.compare(1, 0, np.random.default_rng(0))
+            record = session.compare(1, 0)
         assert record.cost > 0
         drawn_first = first.counter_value("oracle_judgments_total")
         assert drawn_first >= record.cost
 
-        # Same comparator instance, new scoped registry: the warmed handle
-        # must not leak counts back into ``first``.
-        comparator.cache = JudgmentCache()
+        # Same session, new scoped registry: the warmed handles must not
+        # leak counts back into ``first``.
+        session.use_cache(JudgmentCache())
         with use_registry() as second:
-            record2 = comparator.compare(1, 0, np.random.default_rng(1))
+            record2 = session.compare(1, 0)
         assert record2.cost > 0
         assert second.counter_value("oracle_judgments_total") >= record2.cost
+        assert second.counter_value("crowd_microtasks_total") == record2.cost
         assert first.counter_value("oracle_judgments_total") == drawn_first
+        assert first.counter_value("crowd_microtasks_total") == record.cost
 
     def test_binary_oracle_handle_rebinds_on_registry_change(self):
         class ZeroThenOnes(JudgmentOracle):
