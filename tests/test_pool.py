@@ -1,4 +1,4 @@
-"""RacingPool: equivalence with the sequential comparator, budgets, latency."""
+"""RacingPool: a pool against a single comparison, budgets, latency."""
 
 import numpy as np
 import pytest
