@@ -331,6 +331,42 @@ class TestDegradeToTie:
         assert record.rounds >= 5
 
 
+class TestBudgetTieAccounting:
+    """``crowd_budget_ties_total`` counts the ties whose judgments reached
+    the per-pair budget, and no tie the resilience policy degraded."""
+
+    @over_group_runners
+    def test_degraded_ties_are_not_budget_ties(self, run):
+        with use_registry(MetricsRegistry()) as registry:
+            session = faulty_session(
+                # Nothing ever delivers: timeout+loss ~ 0.98.
+                FaultPolicy(timeout_rate=0.49, loss_rate=0.49, seed=1),
+                retry=RetryPolicy(max_attempts=2, backoff_base=0),
+                batch_size=2,
+            )
+            records = run(session, [(5, 0), (0, 5), (4, 1)])
+            assert [r.outcome for r in records] == [Outcome.TIE] * 3
+            assert all(r.cost == 0 for r in records)
+            assert registry.counter_value(
+                "crowd_degraded_ties_total", reason="retries"
+            ) >= 2
+            assert registry.counter_value("crowd_budget_ties_total") == 0
+
+    def test_cached_budget_ties_still_count(self):
+        with use_registry(MetricsRegistry()) as registry:
+            # Equal scores and a tiny budget: the pair ties at the budget.
+            session = make_latent_session(
+                [0.0, 0.0], sigma=5.0, budget=6, batch_size=2
+            )
+            raced = session.compare(0, 1)
+            assert raced.outcome is Outcome.TIE and raced.workload == 6
+            assert registry.counter_value("crowd_budget_ties_total") == 1
+            replayed = session.compare_many([(1, 0), (0, 1)])
+            assert all(r.outcome is Outcome.TIE for r in replayed)
+            assert all(r.cost == 0 and r.workload == 6 for r in replayed)
+            assert registry.counter_value("crowd_budget_ties_total") == 3
+
+
 class TestDeadlineBilling:
     """A comparison that reaches its deadline is billed ``deadline_rounds``
     rounds and no more: the call that only expires it is not a round."""
