@@ -78,36 +78,6 @@ class ComparisonRecord:
         return self.cost == 0 and self.workload > 0
 
     @classmethod
-    def from_race(
-        cls,
-        left: int,
-        right: int,
-        code: int,
-        *,
-        workload: int,
-        cost: int,
-        rounds: int,
-        mean: float,
-        std: float,
-    ) -> "ComparisonRecord":
-        """Build a record from a racing pool's per-pair end state.
-
-        ``code`` is the pool's decision code (``+1``/``-1``/``0``) in the
-        orientation of ``(left, right)``; the remaining fields carry the
-        same meaning as in a sequentially produced record.
-        """
-        return cls(
-            left=int(left),
-            right=int(right),
-            outcome=Outcome.from_code(code),
-            workload=int(workload),
-            cost=int(cost),
-            rounds=int(rounds),
-            mean=mean if workload else math.nan,
-            std=std,
-        )
-
-    @classmethod
     def from_arrays(
         cls,
         lefts: np.ndarray,
@@ -122,11 +92,11 @@ class ComparisonRecord:
     ) -> "list[ComparisonRecord]":
         """Build a whole round's records in one pass over parallel arrays.
 
-        Element ``r`` of every input describes one record; the result is
-        field-for-field identical (order included) to calling
-        :meth:`from_race` per element — the per-record arithmetic
-        (orientation flips, moment math, NaN substitution for empty
-        workloads) is expected to have happened in array form already,
+        Element ``r`` of every input describes one record: ``codes`` are
+        the racing pool's decision codes (``+1``/``-1``/``0``) in the
+        orientation of ``(lefts[r], rights[r])``, and an empty workload's
+        mean reads NaN.  The per-record arithmetic (orientation flips,
+        moment math) is expected to have happened in array form already,
         which is the point: the only remaining per-record work is
         constructing the frozen dataclass itself.
         """

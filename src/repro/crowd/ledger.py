@@ -45,16 +45,9 @@ class CostLedger:
                 f"session ceiling {self.ceiling}"
             )
 
-    def begin_comparison(self) -> None:
-        """Record that one comparison process started."""
-        self.comparisons += 1
-
     def begin_comparisons(self, n: int) -> None:
-        """Record that ``n`` comparison processes started at once.
-
-        The batched twin of :meth:`begin_comparison` — a racing group
-        opens with one ledger update instead of one call per pair.
-        """
+        """Record that ``n`` comparison processes started at once: a
+        racing group opens with one ledger update for all its pairs."""
         if n < 0:
             raise ValueError(f"cannot begin {n} comparisons")
         self.comparisons += n

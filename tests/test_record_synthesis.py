@@ -1,13 +1,14 @@
 """Batched record synthesis is field-for-field the historical per-row loop.
 
 A racing group used to synthesize its ``ComparisonRecord`` list one row at
-a time: ``pool.moments(slot)`` + orientation flip + ``from_race`` per
-occurrence.  The array-native rewrite computes the per-slot moments, the
+a time: ``pool.moments(slot)`` + orientation flip + one per-row
+constructor call per occurrence (:func:`from_race` below keeps that
+constructor as the reference).  The array-native rewrite computes the per-slot moments, the
 flips and the fresh/replay masks in whole-group passes and builds every
 record with one :meth:`ComparisonRecord.from_arrays` call.  This suite
 pins the equivalence in both layers:
 
-* unit: ``from_arrays`` equals element-wise ``from_race`` on arrays that
+* unit: ``from_arrays`` equals element-wise :func:`from_race` on arrays that
   exercise every code sign, empty workloads and NaN moments;
 * integration: the live engine's record stream equals a verbatim
   re-implementation of the historical per-row synthesis, run against a
@@ -33,6 +34,7 @@ from repro.config import (
     RetryPolicy,
 )
 from repro.core.comparison import ComparisonRecord
+from repro.core.outcomes import Outcome
 from repro.crowd.group import plan_group, race_planned
 from repro.crowd.oracle import BinaryOracle, LatentScoreOracle
 from repro.crowd.pool import RacingPool
@@ -58,6 +60,32 @@ def _record_key(record: ComparisonRecord) -> tuple:
         record.rounds,
         _float_key(record.mean),
         _float_key(record.std),
+    )
+
+
+def from_race(
+    left: int,
+    right: int,
+    code: int,
+    *,
+    workload: int,
+    cost: int,
+    rounds: int,
+    mean: float,
+    std: float,
+) -> ComparisonRecord:
+    """The reference per-row record: a racing pool's per-pair end state,
+    ``code`` (``+1``/``-1``/``0``) oriented as ``(left, right)``, and NaN
+    for the mean of an empty workload."""
+    return ComparisonRecord(
+        left=int(left),
+        right=int(right),
+        outcome=Outcome.from_code(code),
+        workload=int(workload),
+        cost=int(cost),
+        rounds=int(rounds),
+        mean=mean if workload else math.nan,
+        std=std,
     )
 
 
@@ -94,7 +122,7 @@ class TestFromArrays:
             stds=stds,
         )
         reference = [
-            ComparisonRecord.from_race(
+            from_race(
                 int(lefts[i]),
                 int(rights[i]),
                 int(codes[i]),
@@ -185,7 +213,7 @@ def historical_race(session, pairs):
             mean = -mean
         records.append(
             (
-                ComparisonRecord.from_race(
+                from_race(
                     left,
                     right,
                     code,

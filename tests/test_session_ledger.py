@@ -34,7 +34,7 @@ class TestCostLedger:
     def test_reset(self):
         ledger = CostLedger()
         ledger.charge(5)
-        ledger.begin_comparison()
+        ledger.begin_comparisons(1)
         ledger.reset()
         assert ledger.microtasks == 0
         assert ledger.comparisons == 0
@@ -138,7 +138,7 @@ class TestBatchedCharging:
         batched, sequential = CostLedger(), CostLedger()
         batched.begin_comparisons(7)
         for _ in range(7):
-            sequential.begin_comparison()
+            sequential.begin_comparisons(1)
         assert batched.comparisons == sequential.comparisons == 7
 
     def test_begin_comparisons_rejects_negative(self):
