@@ -33,6 +33,13 @@ Writes only ever fill free space — a region's tail, or past the end of
 the log — so arrays handed out by :meth:`JudgmentCache.bag` stay valid
 and unchanged whatever is written, evicted or compacted later.
 
+Racing rounds write behind: :meth:`JudgmentCache.defer_rows` queues each
+round's batch and marks the slots it writes, and the queue is folded
+into the log, in arrival order, only when a read may need it.  A
+:meth:`JudgmentCache.replay` that reads no marked slot leaves it queued —
+a comparison that races pairs no earlier group left queued pays no fold
+— and every other read or direct write folds it first.
+
 A bag only ever grows at its end until it is emptied, so a stopping
 rule's scan of it never needs to start over: beside the moments, each
 slot keeps a **replay frontier** (:meth:`JudgmentCache.replay`) — how
@@ -78,10 +85,11 @@ class Replay(NamedTuple):
 
 #: The per-slot arrays and their types: running moments, where the bag's
 #: region starts in the log and how many values it can hold, its rank in
-#: first-write order, the slot's canonical pair, and its replay frontier:
+#: first-write order, the slot's canonical pair, its replay frontier —
 #: the judgments scanned (0: none), the running ``Σv`` there read in each
 #: orientation, ``Σv²``, the frozen stage variance (Stein) and the verdict
-#: (0: undecided), see :meth:`JudgmentCache.replay`.
+#: (0: undecided), see :meth:`JudgmentCache.replay` — and whether a
+#: :meth:`JudgmentCache.defer_rows` batch still queued writes to it.
 _SLOT_ARRAYS = {
     "_n": np.int64,
     "_s1": np.float64,
@@ -97,6 +105,7 @@ _SLOT_ARRAYS = {
     "_front_s2": np.float64,
     "_front_var": np.float64,
     "_front_code": np.int8,
+    "_queued": np.bool_,
 }
 
 
@@ -239,8 +248,11 @@ class JudgmentCache:
         # The stopping rule the frontiers were scanned with (see replay).
         self._front_key: object = None
         # Batches queued by :meth:`defer_rows`, folded in arrival order by
-        # :meth:`_drain` before any read or direct write touches the bags.
+        # :meth:`_drain` before a read or direct write could see them; the
+        # slots they write are marked in _queued, and _blind is set while
+        # one of them was queued without its slots.
         self._pending: list[tuple] = []
+        self._blind = False
         self._reset_log()
 
     def _reset_log(self) -> None:
@@ -444,14 +456,27 @@ class JudgmentCache:
 
         Returns ``None`` when no pair has a judgment, else the
         :class:`Replay` of the pairs that have, in pair order.
-        ``slots`` (from :meth:`slot_ids`) skips the per-pair key lookup.
+        ``slots`` (from :meth:`slot_ids`) skips the per-pair key lookup,
+        and lets the replay leave queued :meth:`defer_rows` batches
+        queued when none of them writes to a pair it reads.
         """
-        if self._pending:
+        if self._pending and self._reads_queued(slots):
             self._drain()
         lefts = np.asarray(lefts)
         rights = np.asarray(rights)
         slots = self._read_slots(lefts, rights, slots)
         return self._replay(slots, lefts > rights, limit, key, decide)
+
+    def _reads_queued(self, slots: np.ndarray | None) -> bool:
+        """Whether a replay of ``slots`` may read a bag that a queued batch
+        writes to.  True whenever that cannot be told from the marks:
+        without ``slots``, after a batch queued without its slots, or
+        once slot ids are recycled (a queued id may name another pair)."""
+        if slots is None or self._blind or self._recycled:
+            return True
+        if not slots.size:
+            return False
+        return bool(np.minimum.reduce(slots) < 0 or self._queued[slots].any())
 
     def _read_slots(
         self, lefts: np.ndarray, rights: np.ndarray, slots: np.ndarray | None
@@ -609,6 +634,14 @@ class JudgmentCache:
         return self._total
 
     @property
+    def empty(self) -> bool:
+        """Whether the cache holds no judgment, stored or queued.  Unlike
+        :attr:`total_samples`, this leaves queued batches queued."""
+        return not self._total and not any(
+            batch[3].any() for batch in self._pending
+        )
+
+    @property
     def pair_count(self) -> int:
         """Number of pairs with at least one stored judgment."""
         if self._pending:
@@ -729,18 +762,25 @@ class JudgmentCache:
         """Queue one :meth:`append_rows`-shaped batch for a later bulk apply.
 
         The racing pool's per-round commit hands its consumed draws here:
-        the round pays one list append, and the accumulated batches are
-        folded into the log the moment anything next looks at the cache
-        (every read and direct-write entry point drains first, so no
-        caller can observe a stale bag).  Deferral only moves the work in
-        time — batches are applied in arrival order with moments
-        bit-identical to an immediate :meth:`append` per row.
+        the round pays one list append and marks the slots it writes, and
+        the accumulated batches are folded into the log only when a read
+        may need them.  A :meth:`replay` that reads no marked slot leaves
+        the queue as it is; every other read and direct-write entry point
+        drains first, so no caller can observe a stale bag.  Deferral
+        only moves the work in time — batches are applied in arrival
+        order with moments bit-identical to an immediate :meth:`append`
+        per row.
 
         Trusted internal path: rows are assumed well-formed (float64
         matrix, ``counts[r] <= values.shape[1]``).  ``slots`` (from
-        :meth:`slot_ids`) skips the per-row key lookup at drain time.
+        :meth:`slot_ids`) skips the per-row key lookup at drain time;
+        without them every replay drains the queue first.
         """
         self._pending.append((lefts, rights, values, counts, slots))
+        if slots is None:
+            self._blind = True
+        else:
+            self._queued[slots] = True
 
     def settle(self) -> None:
         """Fold every deferred batch into the log right now.
@@ -772,6 +812,10 @@ class JudgmentCache:
         """
         pending = self._pending
         self._pending = []
+        self._blind = False
+        for batch in pending:
+            if batch[4] is not None:
+                self._queued[batch[4]] = False
         lefts, rights, values, counts, slots = (
             pending[0] if len(pending) == 1 else _merged(pending)
         )
@@ -924,6 +968,8 @@ class JudgmentCache:
         they would have been stored and then dropped, so cancelling them
         is equivalent).  Slot ids stay valid and map to empty bags."""
         self._pending.clear()
+        self._blind = False
+        self._queued[:] = False
         self._n[:] = 0
         self._front[:] = 0
         self._cap[:] = 0

@@ -219,7 +219,7 @@ class RacingPool:
         bags that hold the whole budget tie.
         """
         cache = self._cache
-        if cache.total_samples == 0:  # cold cache: nothing to scan
+        if cache.empty:  # cold cache: nothing to scan, and nothing to fold
             return
         found = cache.replay(
             self.left,
