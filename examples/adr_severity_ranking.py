@@ -55,9 +55,6 @@ class LikertQuantizedOracle(JudgmentOracle):
         idx = np.abs(clipped[..., None] - self.LEVELS).argmin(axis=-1)
         return self.LEVELS[idx]
 
-    def draw(self, i, j, size, rng):
-        return self._quantize(self._base.draw(i, j, size, rng))
-
     def draw_pairs(self, left, right, size, rng):
         return self._quantize(self._base.draw_pairs(left, right, size, rng))
 

@@ -13,8 +13,8 @@ Design invariants:
   never from the session's judgment stream.  With every rate at zero a
   session wrapping its oracle consumes its RNG exactly as an unwrapped one,
   so all seed-pinned expectations hold unchanged.
-* **The oracle stays the oracle.**  ``draw`` / ``draw_pairs`` pass through
-  to the wrapped oracle untouched — they model what workers *answer*.
+* **The oracle stays the oracle.**  ``draw_pairs`` passes through to
+  the wrapped oracle untouched — it models what workers *answer*.
   Failures happen at the *delivery* layer: the racing pool, which runs
   every comparison, asks the injector which posted tasks actually
   arrived via :meth:`outage_round`, :meth:`delivery_mask` and
@@ -78,9 +78,6 @@ class FaultInjector(JudgmentOracle):
     # ------------------------------------------------------------------
     # oracle protocol: judgments pass through untouched
     # ------------------------------------------------------------------
-    def draw(self, i: int, j: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        return self.base.draw(i, j, size, rng)
-
     def draw_pairs(
         self,
         left: np.ndarray,

@@ -204,23 +204,6 @@ class WorkforceOracle(JudgmentOracle):
         for pos, count in zip(unique, counts):
             self.answers_by_worker[int(self._ids[pos])] += int(count)
 
-    def draw(self, i: int, j: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        raw = self._base.draw(i, j, size, rng)
-        picks = rng.integers(0, len(self.workforce), size=size)
-        values = self._transform(raw, picks, rng)
-        self._account(picks)
-        if self.log is not None:
-            for pos in range(size):
-                self.log.append(
-                    AnswerRecord(
-                        worker_id=int(self._ids[picks[pos]]),
-                        left=int(i),
-                        right=int(j),
-                        value=float(values[pos]),
-                    )
-                )
-        return values
-
     def draw_pairs(
         self,
         left: np.ndarray,
@@ -232,6 +215,16 @@ class WorkforceOracle(JudgmentOracle):
         picks = rng.integers(0, len(self.workforce), size=raw.shape)
         values = self._transform(raw, picks, rng)
         self._account(picks.ravel())
+        if self.log is not None:
+            self.log.extend(
+                map(
+                    AnswerRecord,
+                    self._ids[picks].ravel().tolist(),
+                    np.repeat(np.asarray(left), size).tolist(),
+                    np.repeat(np.asarray(right), size).tolist(),
+                    values.ravel().tolist(),
+                )
+            )
         return values
 
 

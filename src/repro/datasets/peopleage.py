@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.items import ItemSet
-from ..crowd.oracle import JudgmentOracle
+from ..crowd.oracle import ItemRows, JudgmentOracle
 from ..errors import OracleError
 from ..rng import make_rng
 from .base import Dataset
@@ -45,30 +45,20 @@ class AgePerceptionOracle(JudgmentOracle):
         if scale <= 0:
             raise OracleError("scale must be positive")
         self._ages = ages
+        self._items = ItemRows(np.arange(len(ages)))
         self._rel = rel_noise
         self._abs = abs_noise
         self._scale = scale
         self.bounds = None  # Gaussian tails: unbounded support
 
-    def _age(self, item: int) -> float:
-        item = int(item)
-        if not 0 <= item < len(self._ages):
-            raise OracleError(f"unknown item {item}")
-        return float(self._ages[item])
-
-    def _perceive(self, ages: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        shape = ages.shape
+    def _perceive(
+        self, ages: np.ndarray, shape: tuple[int, int], rng: np.random.Generator
+    ) -> np.ndarray:
         return (
             ages
             + ages * self._rel * rng.standard_normal(shape)
             + self._abs * rng.standard_normal(shape)
         )
-
-    def draw(self, i: int, j: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        ai = np.full(size, self._age(i))
-        aj = np.full(size, self._age(j))
-        # Positive preference = the left item looks younger.
-        return (self._perceive(aj, rng) - self._perceive(ai, rng)) / self._scale
 
     def draw_pairs(
         self,
@@ -77,11 +67,13 @@ class AgePerceptionOracle(JudgmentOracle):
         size: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        ages_left = self._ages[np.asarray(left, dtype=np.intp)]
-        ages_right = self._ages[np.asarray(right, dtype=np.intp)]
-        ai = np.broadcast_to(ages_left[:, None], (len(ages_left), size)).copy()
-        aj = np.broadcast_to(ages_right[:, None], (len(ages_right), size)).copy()
-        return (self._perceive(aj, rng) - self._perceive(ai, rng)) / self._scale
+        # Row 0 holds the left items' ages, row 1 the right items'.
+        ages = self._ages[self._items.pairs(left, right)].reshape(2, -1, 1)
+        shape = (ages.shape[1], size)
+        # Positive preference = the left item looks younger.
+        return (
+            self._perceive(ages[1], shape, rng) - self._perceive(ages[0], shape, rng)
+        ) / self._scale
 
 
 def make_peopleage(

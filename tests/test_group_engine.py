@@ -188,10 +188,6 @@ class CountingOracle(JudgmentOracle):
         self.bounds = base.bounds
         self.draws = 0
 
-    def draw(self, i, j, size, rng):
-        self.draws += int(size)
-        return self._base.draw(i, j, size, rng)
-
     def draw_pairs(self, left, right, size, rng):
         self.draws += len(left) * int(size)
         return self._base.draw_pairs(left, right, size, rng)

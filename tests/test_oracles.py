@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import load_dataset
+from repro.config import ComparisonConfig, FaultPolicy
+from repro.crowd.faults import FaultInjector
 from repro.crowd.oracle import (
     BinaryOracle,
     HistogramOracle,
@@ -10,8 +13,46 @@ from repro.crowd.oracle import (
     RecordDatabaseOracle,
     UserTableOracle,
 )
+from repro.crowd.session import CrowdSession
 from repro.crowd.workers import GaussianNoise
+from repro.crowd.workforce import Workforce, WorkforceOracle
 from repro.errors import OracleError
+from repro.telemetry import use_registry
+
+
+def _dataset_oracle(name, wrap=lambda oracle: oracle):
+    def build():
+        dataset = load_dataset(name)
+        return wrap(dataset.oracle), len(dataset)
+
+    return build
+
+
+#: Every oracle class, as (oracle, item count n) over ids 0..n-1.
+ORACLES = {
+    # The six dataset oracles.
+    "imdb": _dataset_oracle("imdb"),
+    "book": _dataset_oracle("book"),
+    "jester": _dataset_oracle("jester"),
+    "photo": _dataset_oracle("photo"),
+    "peopleage": _dataset_oracle("peopleage"),
+    "synthetic": _dataset_oracle("synthetic"),
+    # The wrappers.
+    "binary": _dataset_oracle("book", BinaryOracle),
+    "workforce": _dataset_oracle(
+        "jester",
+        lambda base: WorkforceOracle(
+            base, Workforce.generate(5, seed=2, spammer_rate=0.2), keep_log=True
+        ),
+    ),
+    "faults_off": _dataset_oracle("jester", FaultInjector),
+    "faults_on": _dataset_oracle(
+        "jester",
+        lambda base: FaultInjector(
+            base, FaultPolicy(timeout_rate=0.2, loss_rate=0.1, seed=4)
+        ),
+    ),
+}
 
 
 class TestLatentScoreOracle:
@@ -148,6 +189,12 @@ class TestUserTableOracle:
     def test_custom_item_ids(self, rng):
         oracle = UserTableOracle(np.array([[1.0, 5.0]]), item_ids=np.array([10, 20]))
         assert oracle.draw(20, 10, 5, rng).tolist() == [4.0] * 5
+
+    def test_duplicate_item_ids_rejected(self):
+        # Ids 0, 0, 2 span 0..2 without item 1: a bulk draw for item 1
+        # once read an uninitialized column.
+        with pytest.raises(OracleError, match="unique"):
+            UserTableOracle(np.arange(6.0).reshape(2, 3), item_ids=np.array([0, 0, 2]))
 
 
 class TestRecordDatabaseOracle:
@@ -350,3 +397,52 @@ class TestHistogramSamplingVectorization:
         ratings = oracle._sample_ratings(np.array([0]), 20000, rng)[0]
         freqs = [(ratings == v).mean() for v in oracle._support]
         np.testing.assert_allclose(freqs, [0.6, 0.3, 0.1, 0.0, 0.0], atol=0.02)
+
+
+class TestOracleContract:
+    """What every oracle owes its callers: ``draw_pairs`` is the one
+    sampling door, ``draw`` is row 0 of a one-pair ``draw_pairs``, and an
+    unknown id is refused before any judgment is drawn."""
+
+    @pytest.fixture(params=sorted(ORACLES))
+    def oracle(self, request):
+        return ORACLES[request.param]()
+
+    def test_draw_is_row_zero_of_draw_pairs(self, oracle):
+        oracle, n = oracle
+        pick = np.random.default_rng(3)
+        for _ in range(20):
+            i, j = pick.choice(n, 2, replace=False).tolist()
+            size = int(pick.integers(1, 12))
+            one, many = np.random.default_rng(size), np.random.default_rng(size)
+            np.testing.assert_array_equal(
+                oracle.draw(i, j, size, one),
+                oracle.draw_pairs(np.array([i]), np.array([j]), size, many)[0],
+            )
+            assert one.bit_generator.state == many.bit_generator.state
+
+    def test_unknown_ids_raise_before_drawing(self, oracle):
+        oracle, n = oracle
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for unknown in (-1, n):
+            with pytest.raises(OracleError):
+                oracle.draw(unknown, 0, 3, rng)
+            with pytest.raises(OracleError):
+                oracle.draw(0, unknown, 3, rng)
+            with pytest.raises(OracleError):
+                oracle.draw_pairs(np.array([1, unknown]), np.array([0, 1]), 3, rng)
+            with pytest.raises(OracleError):
+                oracle.draw_pairs(np.array([1, 0]), np.array([0, unknown]), 3, rng)
+        assert rng.bit_generator.state == state
+
+    def test_worker_log_holds_every_judgment(self):
+        oracle, _ = ORACLES["workforce"]()
+        config = ComparisonConfig(budget=60, min_workload=5, batch_size=10)
+        with use_registry() as registry:
+            session = CrowdSession(oracle, config, seed=1)
+            session.compare_many([(0, 1), (2, 3), (4, 5)])
+            session.compare(6, 7)
+        drawn = registry.counter_value("oracle_judgments_total")
+        assert drawn > 0
+        assert len(oracle.log) == sum(oracle.answers_by_worker.values()) == drawn

@@ -187,11 +187,11 @@ class TestOracleAndWorkerCounters:
             def __init__(self):
                 self.calls = 0
 
-            def draw(self, i, j, size, rng):
+            def draw_pairs(self, left, right, size, rng):
                 self.calls += 1
                 if self.calls == 1:
-                    return np.zeros(size)
-                return np.ones(size)
+                    return np.zeros((len(left), size))
+                return np.ones((len(left), size))
 
         with use_registry() as registry:
             oracle = BinaryOracle(ZeroThenOnes())
@@ -338,11 +338,11 @@ class TestInstrumentHandleCaching:
             def __init__(self):
                 self.calls = 0
 
-            def draw(self, i, j, size, rng):
+            def draw_pairs(self, left, right, size, rng):
                 self.calls += 1
                 if self.calls % 2 == 1:
-                    return np.zeros(size)
-                return np.ones(size)
+                    return np.zeros((len(left), size))
+                return np.ones((len(left), size))
 
         oracle = BinaryOracle(ZeroThenOnes())
         with use_registry() as first:
