@@ -240,22 +240,25 @@ class QueryService:
         ``"queued"`` state until capacity frees.  Durable services
         require dataset-named specs (an explicit-items spec cannot be
         revived in a fresh process).  A dataset-named spec must name a
-        known dataset and ask for at most its item count: the library's
-        ``Dataset.sample_items`` clamps a larger ``n_items`` to the whole
-        dataset, which would answer another query than the one asked, so
-        it raises :class:`~repro.errors.ConfigError` before anything is
-        queued.
+        known dataset, ask for at most its item count and name only items
+        it has: the library's ``Dataset.sample_items`` clamps a larger
+        ``n_items`` to the whole dataset, which would answer another query
+        than the one asked, and an item it lacks has no judgments to
+        buy.  Each raises
+        :class:`~repro.errors.ConfigError` before anything is queued.
         """
         if self._closed:
             raise ServiceError("service is closed")
-        if spec.items is None:
+        if spec.dataset is not None:
             try:
-                available = len(load_dataset(spec.dataset))
+                dataset = load_dataset(spec.dataset)
             except DatasetError as exc:
                 raise ConfigError(str(exc)) from None
-            if spec.n_items is not None and spec.n_items > available:
+            if spec.items is not None:
+                spec.resolve_items(dataset)  # refuses ids the dataset lacks
+            elif spec.n_items is not None and spec.n_items > len(dataset):
                 raise ConfigError(
-                    f"n_items ({spec.n_items}) exceeds the {available} items "
+                    f"n_items ({spec.n_items}) exceeds the {len(dataset)} items "
                     f"of dataset {spec.dataset!r}"
                 )
         if self.state_dir is not None and spec.dataset is None:

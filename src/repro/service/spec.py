@@ -166,10 +166,17 @@ class QuerySpec:
 
         Explicit ``items`` win; otherwise the deterministic first
         ``n_items`` of the dataset by id order (``rng=None`` subsetting),
-        so the same spec always races the same items.
+        so the same spec always races the same items.  Explicit items
+        the dataset lacks raise :class:`ConfigError` naming every one.
         """
         if self.items is not None:
-            return [int(i) for i in self.items]
+            known = set(dataset.items.ids.tolist())
+            missing = [i for i in self.items if i not in known]
+            if missing:
+                raise ConfigError(
+                    f"dataset {dataset.name!r} has no items {missing}"
+                )
+            return list(self.items)
         working = dataset.sample_items(self.n_items)
         return working.ids.tolist()
 

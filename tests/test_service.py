@@ -140,6 +140,21 @@ class TestSubmitValidation:
             handle = service.submit(jester.with_(method="tournament", n_items=100))
             assert len(handle.result(timeout=120).topk) == 3
 
+    def test_refuses_items_the_dataset_lacks(self):
+        # Unchecked, item -1 wrapped around to the dataset's last item:
+        # the query answered (2, -1) and bought 1,203 microtasks.
+        spec = QuerySpec(
+            method="spr", k=2, dataset="synthetic", items=(-1, 0, 1, 2, 3)
+        )
+        with make_service(max_workers=1) as service:
+            with pytest.raises(ConfigError, match=r"'synthetic' has no items \[-1\]"):
+                service.submit(spec)
+            with pytest.raises(ConfigError, match=r"no items \[-1, 200\]"):
+                service.submit(spec.with_(items=(-1, 0, 1, 200)))
+            assert service.handles() == []
+        with pytest.raises(ConfigError, match=r"no items \[-1\]"):
+            run_query(spec)
+
 
 class TestSingleQueryIdentity:
     """submit(spec) on a cold tenant is bit-identical to the standalone run."""
@@ -438,6 +453,27 @@ class TestServiceOverHttp:
                         urllib.request.urlopen(request)
                     caught.value.close()
                     assert caught.value.code == 400
+            assert service.handles() == []
+
+    def test_items_the_dataset_lacks_are_400(self):
+        body = QuerySpec(
+            method="spr", k=2, dataset="synthetic", items=(-1, 0, 1, 2, 3)
+        ).to_document()
+        with make_service(max_workers=1) as service:
+            with ObservatoryServer(
+                registry=service.registry, service=service
+            ) as observatory:
+                request = urllib.request.Request(
+                    f"{observatory.url}/submit",
+                    data=json.dumps(body).encode(),
+                    method="POST",
+                )
+                with pytest.raises(urllib.error.HTTPError) as caught:
+                    urllib.request.urlopen(request)
+                error = json.load(caught.value)["error"]
+                caught.value.close()
+                assert caught.value.code == 400
+                assert "no items [-1]" in error
             assert service.handles() == []
 
     def test_oversized_body_is_413_unread(self):
