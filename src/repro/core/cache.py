@@ -501,7 +501,7 @@ class JudgmentCache:
         if not rows.size:  # no pair has a bag: touch no frontier
             return None
         if key != self._front_key:  # scanned with another rule: start over
-            self._front[: self._used] = 0
+            self._reset_frontier(slice(None, self._used))
             self._front_key = key
         ids = slots[rows]
         reach = reach[rows]
@@ -542,6 +542,12 @@ class JudgmentCache:
             self._front_s2,
             self._front_var,
         )
+
+    def _reset_frontier(self, slots: np.ndarray | slice | int) -> None:
+        """Reset the frontier of ``slots`` to a fresh slot's: every
+        column, so a recycled id reads bit for bit as a new one."""
+        for column in self._frontier():
+            column[slots] = 0
 
     def _scan(
         self,
@@ -911,7 +917,7 @@ class JudgmentCache:
         n = int(self._n[slot])
         if n:
             self._n[slot] = 0
-            self._front[slot] = 0
+            self._reset_frontier(slot)
             self._s1[slot] = 0.0
             self._s2[slot] = 0.0
             self._dead += int(self._cap[slot])
@@ -959,7 +965,7 @@ class JudgmentCache:
             del self._slot_of[pair]
         self._lo[empty] = 1
         self._hi[empty] = 0
-        self._front[empty] = 0
+        self._reset_frontier(empty)
         self._free.extend(reversed(empty.tolist()))
         self._recycled = self._recycled or bool(empty.size)
 
@@ -971,7 +977,7 @@ class JudgmentCache:
         self._blind = False
         self._queued[:] = False
         self._n[:] = 0
-        self._front[:] = 0
+        self._reset_frontier(slice(None))
         self._cap[:] = 0
         self._s1[:] = 0.0
         self._s2[:] = 0.0

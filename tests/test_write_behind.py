@@ -243,6 +243,21 @@ class _Twin:
         ("replay", [(2, 1)], 9, "never", "fresh"),
     ]
 )
+# A frontier left behind: the twins number (0, 1) and (0, 2) in another
+# order (the lazy one resolves (0, 1) before it folds the blind batch),
+# a replay scans (0, 1), and after clear() and freeing both ids, (0, 1)
+# gets the id that held its frontier in one twin only.  Every frontier
+# column of a recycled slot must read as a fresh slot's.
+@example(
+    [("defer", ([], 0, 0), "held")] * 5
+    + [
+        ("defer", ([(0, 2), (0, 1), (0, 1), (0, 1), (0, 1)], 1, 0), None),
+        ("replay", [(0, 1)], 1, "never", "held"),
+        ("clear",),
+        ("free",),
+        ("append", (0, 1), 1, 0),
+    ]
+)
 def test_deferral_is_invisible(ops):
     lazy, eager = _Twin(eager=False), _Twin(eager=True)
     for op in ops:
