@@ -18,6 +18,12 @@ hold on a fault-free platform — golden pins, seed-pinned costs, exact
 round arithmetic — carry the ``faultfree`` marker and are skipped on that
 leg; everything else must pass under faults too.
 
+The Hypothesis property tests belong to tier 1, so they search
+derandomized: the ``tier1`` profile loaded below fixes each test's seed
+(every test keeps its own ``max_examples``) and keeps no example
+database.  The nightly CI job runs them randomized, with
+``--hypothesis-profile randomized``, to keep looking for new examples.
+
 ``--jobs`` is registered here (not in ``benchmarks/conftest.py``) so that
 tests, benchmarks, and combined invocations all share one definition —
 pytest refuses to start when two conftests register the same option.
@@ -28,6 +34,15 @@ from __future__ import annotations
 import os
 
 import pytest
+
+try:
+    from hypothesis import settings
+except ImportError:  # a test extra: the benchmarks run without it
+    pass
+else:
+    settings.register_profile("tier1", derandomize=True)
+    settings.register_profile("randomized", derandomize=False)
+    settings.load_profile("tier1")
 
 
 def _ambient_fault_rate() -> float:
