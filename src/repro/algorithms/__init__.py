@@ -11,7 +11,6 @@ from .bdp import BDPRanker, bdp_topk, resume_bdp_topk
 from .crowdbt import crowdbt_topk
 from .fullsort import fullsort_topk
 from .heapsort import heapsort_topk
-from .heuristics import borda_topk, elo_topk
 from .hybrid import hybrid_spr_topk, hybrid_topk
 from .infimum import infimum_estimate
 from .pbr import pbr_topk
@@ -25,9 +24,7 @@ __all__ = [
     "RESUMERS",
     "TopKOutcome",
     "bdp_topk",
-    "borda_topk",
     "crowdbt_topk",
-    "elo_topk",
     "fullsort_topk",
     "heapsort_topk",
     "hybrid_spr_topk",

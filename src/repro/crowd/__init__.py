@@ -10,7 +10,6 @@ from .oracle import (
     RecordDatabaseOracle,
     UserTableOracle,
 )
-from .marketplace import MarketplaceModel, MarketplaceReport, rounds_from_session
 from .pool import RacingPool
 from .session import CrowdSession
 from .timeline import WallClockEstimate, project_wall_clock
@@ -36,9 +35,6 @@ __all__ = [
     "JudgmentOracle",
     "LatencyLedger",
     "LatentScoreOracle",
-    "MarketplaceModel",
-    "MarketplaceReport",
-    "rounds_from_session",
     "RacingPool",
     "RecordDatabaseOracle",
     "UserTableOracle",

@@ -8,7 +8,6 @@ remain one parameter away.
 
 from .accuracy import run_accuracy
 from .appendix_d import run_appendix_d
-from .interactive import run_interactive
 from .non_confidence import run_non_confidence
 from .params import (
     BUDGETS,
@@ -27,7 +26,6 @@ from .parallel import (
     use_jobs,
 )
 from .peopleage import run_peopleage
-from .phase_breakdown import run_phase_breakdown
 from .reporting import Report
 from .robustness import run_robustness
 from .runner import MethodStats, RunRecord, run_infimum, run_method, run_methods
@@ -39,7 +37,6 @@ from .sweet_spot import run_sweet_spot
 from .table3 import run_table3
 from .table4 import run_table4
 from .table7 import run_table7
-from .workload_distance import run_workload_distance
 
 __all__ = [
     "BUDGETS",
@@ -60,12 +57,10 @@ __all__ = [
     "run_accuracy",
     "run_appendix_d",
     "run_infimum",
-    "run_interactive",
     "run_method",
     "run_methods",
     "run_non_confidence",
     "run_peopleage",
-    "run_phase_breakdown",
     "run_robustness",
     "run_scalability",
     "run_spr_vs_bdp",
@@ -75,5 +70,4 @@ __all__ = [
     "run_table3",
     "run_table4",
     "run_table7",
-    "run_workload_distance",
 ]

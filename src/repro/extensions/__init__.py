@@ -1,11 +1,8 @@
 """Extensions beyond the paper's core contribution.
 
-The paper's conclusion (§7) sketches two follow-ups, both implemented
+The paper's conclusion (§7) sketches follow-ups; one is implemented
 here:
 
-* :mod:`~repro.extensions.interval_ranking` — keep buying judgments past
-  the stopping point to *tighten* the intervals, then infer a partial
-  ranking from interval separation alone.
 * :mod:`~repro.extensions.prior_selection` — use partial prior knowledge
   of item scores (à la Ciceri et al. [11]) to pick the reference without
   paying for the sampling phase.
@@ -23,20 +20,13 @@ from .economics import (
     dollars_for,
     session_bill,
 )
-from .incremental import InsertionResult, insert_item
-from .interval_ranking import IntervalEstimate, PartialOrder, interval_partial_order
 from .prior_selection import prior_reference, spr_topk_with_prior
 
 __all__ = [
     "CostBreakdown",
-    "InsertionResult",
-    "IntervalEstimate",
-    "PartialOrder",
     "TASK_CATEGORIES",
     "TaskCategory",
     "dollars_for",
-    "insert_item",
-    "interval_partial_order",
     "prior_reference",
     "session_bill",
     "spr_topk_with_prior",

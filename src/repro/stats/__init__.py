@@ -10,12 +10,9 @@ from .reference import (
 from .tdist import t_quantile, t_quantiles
 from .thurstone import win_probability
 from .planning import predict_infimum_cost, predict_pair_workload
-from .validation import CalibrationReport, calibrate_tester
 from .workload import binary_workload, student_workload, workload_ratio
 
 __all__ = [
-    "CalibrationReport",
-    "calibrate_tester",
     "predict_infimum_cost",
     "predict_pair_workload",
     "binary_workload",

@@ -1,7 +1,7 @@
 """``CrowdSession.compare`` pinned over a grid of crowds and policies.
 
 Single comparisons are what the sequential methods (heapsort, fullsort,
-quickselect's pivots, the incremental extension) buy through.  This suite
+quickselect's pivots) buy through.  This suite
 pins what a scripted chain of them buys across four oracles (a latent
 Gaussian crowd, its binary votes, and the jester and imdb dataset
 oracles), every estimator, six resilience policies and five

@@ -139,52 +139,6 @@ class TestPeopleAge:
         assert dollars == pytest.approx(tmc * 0.001)
 
 
-class TestPhaseBreakdown:
-    def test_phases_sum_to_total(self):
-        from repro.experiments import run_phase_breakdown
-
-        report = run_phase_breakdown(datasets=("jester",), n_runs=1, seed=0)
-        selection, partition, tail, total = report.rows["jester"]
-        assert selection + partition + tail == pytest.approx(total)
-        assert total > 0
-
-
-class TestInteractiveProjection:
-    def test_columns_and_paper_row(self):
-        from repro.experiments import run_interactive
-
-        report = run_interactive(n_runs=1, seed=0)
-        assert report.columns == ["US$", "hours", "NDCG"]
-        dollars, hours, ndcg = report.rows["SPR (ours, projected)"]
-        assert dollars > 0 and hours > 0 and 0 <= ndcg <= 1
-        assert report.rows["SPR (paper, live run)"][0] == pytest.approx(10.56)
-
-
-class TestWorkloadDistance:
-    def test_monotone_premise_on_synthetic(self):
-        from repro.experiments import ExperimentParams
-        from repro.experiments.workload_distance import run_workload_distance
-
-        params = ExperimentParams(dataset="synthetic", budget=300)
-        report = run_workload_distance(
-            "synthetic", distances=(1, 50), pairs_per_distance=8,
-            n_runs=1, seed=0, params=params,
-        )
-        workloads = report.rows["mean workload"]
-        assert workloads[0] > workloads[-1]
-
-    def test_oversized_distances_dropped(self):
-        from repro.experiments import ExperimentParams
-        from repro.experiments.workload_distance import run_workload_distance
-
-        params = ExperimentParams(dataset="jester", budget=100)
-        report = run_workload_distance(
-            "jester", distances=(5, 500), pairs_per_distance=3,
-            n_runs=1, seed=0, params=params,
-        )
-        assert report.columns == ["d=5"]  # jester has only 100 items
-
-
 class TestRobustness:
     def test_cost_grows_with_spam(self):
         from repro.experiments import run_robustness

@@ -1,17 +1,13 @@
-"""Extensions: interval partial ranking, prior-guided SPR, economics."""
+"""Extensions: prior-guided SPR, economics."""
 
 import numpy as np
 import pytest
 
-from repro.core.spr import partition
 from repro.errors import AlgorithmError
 from repro.extensions import (
     TASK_CATEGORIES,
     CostBreakdown,
-    IntervalEstimate,
-    PartialOrder,
     dollars_for,
-    interval_partial_order,
     prior_reference,
     session_bill,
     spr_topk_with_prior,
@@ -25,118 +21,6 @@ def clean_session(seed=0, **kwargs):
     defaults = dict(sigma=0.5, min_workload=5, batch_size=10, budget=200)
     defaults.update(kwargs)
     return make_latent_session(SCORES, seed=seed, **defaults)
-
-
-class TestIntervalEstimate:
-    def test_separation(self):
-        a = IntervalEstimate(item=0, lower=1.0, upper=2.0, n=10)
-        b = IntervalEstimate(item=1, lower=2.5, upper=3.0, n=10)
-        c = IntervalEstimate(item=2, lower=1.5, upper=2.7, n=10)
-        assert a.separated_from(b)
-        assert not a.separated_from(c)
-        assert a.width == pytest.approx(1.0)
-        assert b.midpoint == pytest.approx(2.75)
-
-
-class TestPartialOrder:
-    def _order(self):
-        return PartialOrder(
-            [
-                IntervalEstimate(item=1, lower=5.0, upper=6.0, n=10),
-                IntervalEstimate(item=2, lower=3.0, upper=4.0, n=10),
-                IntervalEstimate(item=3, lower=3.5, upper=4.5, n=10),
-                IntervalEstimate(item=4, lower=0.0, upper=1.0, n=10),
-            ]
-        )
-
-    def test_dominates(self):
-        order = self._order()
-        assert order.dominates(1, 2)
-        assert order.dominates(2, 4)
-        assert not order.dominates(2, 3)
-        assert not order.dominates(3, 2)
-
-    def test_unresolved_pairs(self):
-        assert self._order().unresolved_pairs() == [(2, 3)]
-
-    def test_layers(self):
-        layers = self._order().layers()
-        assert layers[0] == [1]
-        assert sorted(layers[1]) == [2, 3]
-        assert layers[2] == [4]
-
-    def test_is_total(self):
-        assert not self._order().is_total()
-        total = PartialOrder(
-            [
-                IntervalEstimate(item=1, lower=5.0, upper=6.0, n=5),
-                IntervalEstimate(item=2, lower=1.0, upper=2.0, n=5),
-            ]
-        )
-        assert total.is_total()
-
-    def test_best_effort_ranking(self):
-        ranking = self._order().best_effort_ranking()
-        assert ranking[0] == 1
-        assert ranking[-1] == 4
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(AlgorithmError):
-            PartialOrder(
-                [
-                    IntervalEstimate(item=1, lower=0, upper=1, n=2),
-                    IntervalEstimate(item=1, lower=0, upper=1, n=2),
-                ]
-            )
-
-
-class TestIntervalPartialOrder:
-    def test_orders_well_separated_candidates(self):
-        session = clean_session()
-        part = partition(session, list(range(30)), 5, reference=20)
-        candidates = [29, 27, 25, 23]
-        order = interval_partial_order(
-            session, candidates, 20, extra_budget=300
-        )
-        assert order.dominates(29, 25)
-        assert order.best_effort_ranking()[0] == 29
-
-    def test_extra_budget_is_charged(self):
-        session = clean_session()
-        before = session.total_cost
-        interval_partial_order(session, [25, 28], 20, extra_budget=100)
-        assert session.total_cost > before
-
-    def test_target_halfwidth_stops_early(self):
-        loose = clean_session(seed=1)
-        interval_partial_order(
-            loose, [25, 28], 20, extra_budget=500, target_halfwidth=1.0
-        )
-        tight = clean_session(seed=1)
-        interval_partial_order(
-            tight, [25, 28], 20, extra_budget=500, target_halfwidth=0.05
-        )
-        assert loose.total_cost < tight.total_cost
-
-    def test_close_items_stay_unresolved(self):
-        session = make_latent_session(
-            [0.0, 5.0, 5.02, 9.0], sigma=2.0,
-            min_workload=5, budget=200, batch_size=10,
-        )
-        order = interval_partial_order(session, [1, 2], 3, extra_budget=100)
-        assert order.unresolved_pairs() == [(1, 2)]
-
-    def test_reference_cannot_be_candidate(self):
-        session = clean_session()
-        with pytest.raises(AlgorithmError):
-            interval_partial_order(session, [20, 25], 20)
-
-    def test_validates_knobs(self):
-        session = clean_session()
-        with pytest.raises(AlgorithmError):
-            interval_partial_order(session, [25], 20, extra_budget=-1)
-        with pytest.raises(AlgorithmError):
-            interval_partial_order(session, [25], 20, target_halfwidth=0.0)
 
 
 class TestPriorReference:

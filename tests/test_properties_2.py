@@ -115,34 +115,3 @@ class TestFootruleProperties:
         items, perm = data
         ideal = sorted(perm, key=lambda i: items.rank_of(i))
         assert spearman_footrule(items, ideal[::-1]) == pytest.approx(1.0)
-
-
-class TestInsertItemProperty:
-    @given(
-        seed=st.integers(min_value=0, max_value=50),
-        arrival=st.permutations(list(range(12))),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_streaming_matches_batch_on_clean_oracle(self, seed, arrival):
-        """Feeding items one at a time into insert_item must converge to
-        the true top-k when comparisons are reliable."""
-        from repro.extensions import insert_item
-        from tests.conftest import make_latent_session
-
-        scores = [float(i) for i in range(12)]
-        session = make_latent_session(
-            scores, sigma=0.2, seed=seed, min_workload=4, budget=100,
-            batch_size=10,
-        )
-        topk = [int(arrival[0])]
-        for raw in arrival[1:]:
-            item = int(raw)
-            full = len(topk) >= 4
-            result = insert_item(session, topk, item, evict=full)
-            topk = list(result.topk)
-            if not result.accepted and not full:
-                # While the list is still filling, a rejected item belongs
-                # at its tail (it just lost to the current boundary).
-                topk.append(item)
-        assert set(topk) == {11, 10, 9, 8}
-        assert topk == sorted(topk, reverse=True)

@@ -1,6 +1,6 @@
 """`top_k_indices`: argpartition-based selection must match stable argsort.
 
-Every hot ranking site (`heuristics`, `crowdbt`, SPR's k-th-best-winner
+Every hot ranking site (`crowdbt`, SPR's k-th-best-winner
 selection, the guarantee replications) replaced
 ``np.argsort(-values, kind="stable")[:k]`` with
 :func:`repro.core.topk.top_k_indices`.  The contract is *exact
