@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "resolve_winner",
-    "crowd_max",
     "crowd_max_many",
     "odd_even_sort",
     "merge_sort",
@@ -53,29 +52,6 @@ def resolve_winner(record: ComparisonRecord, rng: np.random.Generator) -> int:
     if np.isfinite(record.mean) and record.mean != 0.0:
         return record.left if record.mean > 0 else record.right
     return record.left if rng.random() < 0.5 else record.right
-
-
-def crowd_max(session: "CrowdSession", ids: list[int]) -> int:
-    """Best item of ``ids`` by a parallel knockout tournament.
-
-    Each tournament level is one parallel comparison group (§5.5), so the
-    latency is ``O(log n)`` groups.  Duplicate ids are collapsed first —
-    the maximum of a multiset is the maximum of its support.
-    """
-    unique = list(dict.fromkeys(int(i) for i in ids))
-    if not unique:
-        raise AlgorithmError("crowd_max needs at least one item")
-    current = unique
-    while len(current) > 1:
-        pairs = [
-            (current[pos], current[pos + 1]) for pos in range(0, len(current) - 1, 2)
-        ]
-        records = session.compare_many(pairs)
-        survivors = [resolve_winner(rec, session.rng) for rec in records]
-        if len(current) % 2 == 1:
-            survivors.append(current[-1])
-        current = survivors
-    return current[0]
 
 
 def crowd_max_many(

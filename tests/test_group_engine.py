@@ -169,11 +169,11 @@ class TestTelemetry:
         assert registry.histogram("crowd_comparison_workload").count == 2 * len(pairs)
 
     def test_ranking_primitives_route_through_racing_engine(self):
-        from repro.core.sorting import crowd_max, odd_even_sort
+        from repro.core.sorting import crowd_max_many, odd_even_sort
 
         with use_registry() as registry:
             session = make_session()
-            best = crowd_max(session, list(range(12)))
+            best = crowd_max_many(session, [list(range(12))])[0]
             odd_even_sort(session, list(range(8)))
         assert best == 11
         assert registry.counter_value("crowd_groups_total") > 0

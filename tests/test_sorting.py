@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.sorting import (
     bubble_sort_to_median,
-    crowd_max,
     crowd_max_many,
     median_of_multiset,
     odd_even_sort,
@@ -23,25 +22,25 @@ def _clean_session(scores, **kwargs):
 class TestCrowdMax:
     def test_finds_best(self):
         session = _clean_session([0.0, 10.0, 5.0, 2.0, 8.0])
-        assert crowd_max(session, [0, 1, 2, 3, 4]) == 1
+        assert crowd_max_many(session, [[0, 1, 2, 3, 4]])[0] == 1
 
     def test_duplicates_collapsed(self):
         session = _clean_session([0.0, 10.0])
-        assert crowd_max(session, [0, 1, 1, 0, 1]) == 1
+        assert crowd_max_many(session, [[0, 1, 1, 0, 1]])[0] == 1
 
     def test_single_item_costs_nothing(self):
         session = _clean_session([1.0, 2.0])
-        assert crowd_max(session, [0]) == 0
+        assert crowd_max_many(session, [[0]])[0] == 0
         assert session.total_cost == 0
 
     def test_empty_rejected(self):
         session = _clean_session([1.0])
         with pytest.raises(AlgorithmError):
-            crowd_max(session, [])
+            crowd_max_many(session, [[]])
 
     def test_latency_is_logarithmic_in_entrants(self):
         session = _clean_session(list(range(16)), min_workload=2, batch_size=10)
-        crowd_max(session, list(range(16)))
+        crowd_max_many(session, [list(range(16))])
         # 4 knockout levels, each one parallel group of cheap comparisons.
         assert session.total_rounds <= 8
 
@@ -59,8 +58,8 @@ class TestCrowdMaxMany:
         parallel = _clean_session(scores, min_workload=2, batch_size=10)
         crowd_max_many(parallel, [list(range(16)), list(range(16, 32))])
         sequential = _clean_session(scores, min_workload=2, batch_size=10)
-        crowd_max(sequential, list(range(16)))
-        crowd_max(sequential, list(range(16, 32)))
+        crowd_max_many(sequential, [list(range(16))])
+        crowd_max_many(sequential, [list(range(16, 32))])
         assert parallel.total_rounds <= sequential.total_rounds
 
     def test_empty_sample_rejected(self):
