@@ -1,10 +1,10 @@
 """The three judgment models as first-class objects (§3, Table 1).
 
 The paper compares three ways to ask the crowd about items; across this
-library they are realized by (oracle adapter, tester) pairings.  This
-module is the facade that makes the pairing explicit: given any base
-preference oracle, ``configure(model, ...)`` returns the oracle view and
-the comparison configuration that together implement the chosen model.
+library they are realized by (oracle adapter, tester) pairings: a
+preference oracle with the Student or Stein tester, a
+:class:`~repro.crowd.oracle.BinaryOracle` with the Hoeffding tester, and
+an oracle that rates single items for graded judgments.
 
 =============  ==========  =========  ========  ====================
 Model          Target      Pref.      Error     Workload per target
@@ -18,15 +18,8 @@ preference     item pair   relative   moderate  small (Student/Stein)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from ..config import ComparisonConfig
-from ..errors import ConfigError, OracleError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..crowd.oracle import JudgmentOracle
-
-__all__ = ["JudgmentModel", "JUDGMENT_MODELS", "configure"]
+__all__ = ["JudgmentModel", "JUDGMENT_MODELS"]
 
 
 @dataclass(frozen=True)
@@ -74,44 +67,3 @@ JUDGMENT_MODELS = {
     ),
 }
 
-
-def configure(
-    model: str,
-    oracle: "JudgmentOracle",
-    config: ComparisonConfig | None = None,
-) -> tuple["JudgmentOracle", ComparisonConfig]:
-    """Adapt ``oracle`` and ``config`` to the named judgment model.
-
-    * ``"preference"`` — the oracle is used as-is with a parametric tester
-      (Student by default; Stein if the config already asks for it).
-    * ``"binary"`` — the oracle is wrapped in
-      :class:`~repro.crowd.oracle.BinaryOracle` (sign-only answers,
-      exact ties re-drawn) and the Hoeffding tester is selected.
-    * ``"graded"`` — there is no comparison process; the oracle must
-      support absolute ratings and is returned unchanged for callers that
-      grade items directly (e.g. the Hybrid filter).  Raises when the
-      oracle cannot rate.
-    """
-    from ..crowd.oracle import BinaryOracle  # deferred: avoids cycles
-
-    try:
-        descriptor = JUDGMENT_MODELS[model]
-    except KeyError:
-        known = ", ".join(sorted(JUDGMENT_MODELS))
-        raise ConfigError(f"unknown judgment model {model!r}; known: {known}")
-    config = config if config is not None else ComparisonConfig()
-
-    if descriptor.name == "preference":
-        estimator = (
-            config.estimator if config.estimator in ("student", "stein")
-            else "student"
-        )
-        return oracle, config.with_(estimator=estimator)
-    if descriptor.name == "binary":
-        return BinaryOracle(oracle), config.with_(estimator="hoeffding")
-    # graded
-    if not oracle.supports_rating:
-        raise OracleError(
-            f"{type(oracle).__name__} cannot answer graded judgments"
-        )
-    return oracle, config

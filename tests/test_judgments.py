@@ -1,18 +1,6 @@
-"""The judgment-model facade (§3, Table 1)."""
+"""The judgment models as data (§3, Table 1)."""
 
-import numpy as np
-import pytest
-
-from repro.config import ComparisonConfig
-from repro.core.judgments import JUDGMENT_MODELS, configure
-from repro.crowd.oracle import BinaryOracle, LatentScoreOracle, RecordDatabaseOracle
-from repro.crowd.session import CrowdSession
-from repro.crowd.workers import GaussianNoise
-from repro.errors import ConfigError, OracleError
-
-
-def base_oracle():
-    return LatentScoreOracle(np.array([0.0, 2.0, 4.0]), GaussianNoise(0.5))
+from repro.core.judgments import JUDGMENT_MODELS
 
 
 class TestTable1:
@@ -27,52 +15,3 @@ class TestTable1:
         assert graded.preference == "absolute"
         assert not graded.has_stopping_rule
         assert JUDGMENT_MODELS["preference"].has_stopping_rule
-
-
-class TestConfigure:
-    def test_preference_passthrough(self):
-        oracle, config = configure("preference", base_oracle())
-        assert isinstance(oracle, LatentScoreOracle)
-        assert config.estimator == "student"
-
-    def test_preference_keeps_stein_choice(self):
-        _, config = configure(
-            "preference", base_oracle(), ComparisonConfig(estimator="stein")
-        )
-        assert config.estimator == "stein"
-
-    def test_preference_fixes_hoeffding_choice(self):
-        # A hoeffding config makes no sense for raw preferences of
-        # unbounded support: the facade normalizes it.
-        _, config = configure(
-            "preference", base_oracle(), ComparisonConfig(estimator="hoeffding")
-        )
-        assert config.estimator == "student"
-
-    def test_binary_wraps_and_selects_hoeffding(self):
-        oracle, config = configure("binary", base_oracle())
-        assert isinstance(oracle, BinaryOracle)
-        assert config.estimator == "hoeffding"
-        assert oracle.value_range == 2.0
-
-    def test_binary_end_to_end(self):
-        oracle, config = configure(
-            "binary", base_oracle(),
-            ComparisonConfig(confidence=0.9, budget=5000, min_workload=5),
-        )
-        session = CrowdSession(oracle, config, seed=0)
-        record = session.compare(2, 0)
-        assert record.winner == 2
-
-    def test_graded_requires_rating_support(self):
-        oracle, _ = configure("graded", base_oracle())
-        assert oracle.supports_rating
-        with pytest.raises(OracleError):
-            configure(
-                "graded",
-                RecordDatabaseOracle({(0, 1): np.array([0.5])}),
-            )
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ConfigError):
-            configure("telepathy", base_oracle())
