@@ -217,6 +217,9 @@ class HistogramOracle(JudgmentOracle):
             cdf[row] = np.cumsum(pmf)
         cdf[:, -1] = 1.0  # guard against round-off at the top
         self._cdf = cdf
+        # The sampler's view (see _rating_indices): one row per support
+        # point but the last, one column per item.
+        self._points = np.ascontiguousarray(cdf[:, :-1].T)
         span = float(support[-1] - support[0])
         self.bounds = (-span, span)
 
@@ -231,25 +234,36 @@ class HistogramOracle(JudgmentOracle):
         pmf = np.diff(np.concatenate(([0.0], self._cdf[row])))
         return float(pmf @ self._support)
 
+    def _rating_indices(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Support indices of the uniforms ``u``, shape ``(sides, lanes,
+        size)``, under the CDFs of ``rows``, shape ``(sides, lanes)``.
+
+        The index of a uniform is the number of its row's CDF points
+        below it.  Lane ``l`` of each side shifts its points and its
+        uniforms by ``2·l``, and the count compares the shifted values:
+        the same floating-point comparisons as a side-``left``
+        ``searchsorted`` over that side's lane-shifted, flattened CDFs
+        (the sampler's historical form), whose sorted array holds every
+        point of earlier lanes below the query and every point of later
+        lanes above it.  Counting along the leading support axis reads
+        each point once per uniform instead of binary-searching the
+        flattened array.  A row's last point, ``1 + 2·l``, is never below
+        a shifted uniform, so it is not stored.  ``u`` is shifted in
+        place.
+        """
+        shift = 2.0 * np.arange(u.shape[1])[:, None]
+        u += shift
+        points = self._points[:, rows][..., None]
+        points += shift
+        return (points < u).sum(axis=0)
+
     def _sample_ratings(
         self, rows: np.ndarray, size: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Inverse-CDF sample: a ``(len(rows), size)`` matrix of ratings.
-
-        For each row r the sampled index is #{support points with cdf < u},
-        found by binary search.  Each row's CDF lives in [0, 1] and uniforms
-        in [0, 1), so shifting row r by 2r packs all rows into one globally
-        sorted array and a single ``searchsorted`` resolves every draw —
-        O(pairs × size × log grid) instead of the former full
-        (pairs × size × grid) broadcast compare.
-        """
+        """Inverse-CDF sample: a ``(len(rows), size)`` matrix of ratings,
+        row ``r`` shifted as lane ``r`` (see :meth:`_rating_indices`)."""
         u = rng.random((len(rows), size))
-        n_rows, n_support = len(rows), len(self._support)
-        shift = 2.0 * np.arange(n_rows)[:, None]
-        flat_cdf = (self._cdf[rows] + shift).ravel()
-        idx = np.searchsorted(flat_cdf, (u + shift).ravel(), side="left")
-        idx = idx.reshape(n_rows, size) - np.arange(n_rows)[:, None] * n_support
-        return self._support[idx]
+        return self._support[self._rating_indices(rows[None], u[None])[0]]
 
     def draw_pairs(
         self,
@@ -261,23 +275,13 @@ class HistogramOracle(JudgmentOracle):
         rows = self._items.pairs(left, right)
         # One uniform call for both sides yields the same stream as
         # sampling the left rows and then the right rows.  Each side keeps
-        # its own shifts and search (see _sample_ratings): the shifted sums
-        # round differently at larger shifts, so every index matches.
-        support = self._support
-        m, n_support = len(rows) // 2, len(support)
+        # its own lanes, shifted from 0: the shifted sums round
+        # differently at larger shifts, so every index matches.
+        m = len(rows) // 2
         u = rng.random((2 * m, size)).reshape(2, m, size)
-        lanes = np.arange(m)[:, None]
-        shift = 2.0 * lanes
-        u += shift
-        cdf = self._cdf[rows].reshape(2, m, n_support)
-        cdf += shift
-        offsets = lanes * n_support
-        left_idx, right_idx = (
-            cdf[side].ravel().searchsorted(u[side].ravel()).reshape(m, size)
-            - offsets
-            for side in (0, 1)
-        )
-        return support[left_idx] - support[right_idx]
+        idx = self._rating_indices(rows.reshape(2, m), u)
+        support = self._support
+        return support[idx[0]] - support[idx[1]]
 
     @property
     def supports_rating(self) -> bool:
