@@ -462,7 +462,6 @@ def _run(
 ) -> TopKOutcome:
     """The shared fresh/resumed BDP loop."""
     ids = state.ids
-    index_of = {item: pos for pos, item in enumerate(ids)}
     cap = ranker.max_comparisons
 
     def _provider() -> dict:
@@ -497,16 +496,14 @@ def _run(
     def _purchase(pairs: list[tuple[int, int]]) -> None:
         """Buy ``pairs`` through the session and fold in the verdicts."""
         records = session.compare_many([(ids[i], ids[j]) for i, j in pairs])
-        for (i, j), record in zip(pairs, records):
+        for (i, j), code in zip(pairs, records.codes.tolist()):
             state.available[i, j] = False
             state.comparisons += 1
-            winner = record.winner
-            if winner is None:
+            if not code:
                 state.ties += 1
                 continue
-            loser = record.loser
-            w, l = index_of[winner], index_of[loser]
-            state.verdicts[i, j] = 1 if w == i else -1
+            w, l = (i, j) if code > 0 else (j, i)
+            state.verdicts[i, j] = code
             state.shapes[w], state.shapes[l] = moment_match(
                 state.shapes[w], state.shapes[l]
             )

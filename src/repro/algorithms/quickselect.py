@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..core.outcomes import Outcome
 from ..core.sorting import odd_even_sort
 from .base import TopKOutcome, measured, validate_query
 
@@ -32,13 +31,13 @@ def _select(session: "CrowdSession", ids: list[int], k: int) -> list[int]:
     records = session.compare_many([(item, pivot) for item in others])
 
     winners, losers, block = [], [], [pivot]
-    for rec in records:
-        if rec.outcome is Outcome.LEFT:
-            winners.append(rec.left)
-        elif rec.outcome is Outcome.RIGHT:
-            losers.append(rec.left)
+    for item, code in zip(records.lefts.tolist(), records.codes.tolist()):
+        if code > 0:
+            winners.append(item)
+        elif code < 0:
+            losers.append(item)
         else:
-            block.append(rec.left)
+            block.append(item)
 
     if len(winners) >= k:
         return _select(session, winners, k)

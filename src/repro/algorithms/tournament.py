@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..core.sorting import resolve_winner
+import numpy as np
+
+from ..core.sorting import resolve_winners
 from .base import TopKOutcome, measured, validate_query
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,10 +35,10 @@ def _knockout(
             (current[pos], current[pos + 1]) for pos in range(0, len(current) - 1, 2)
         ]
         records = session.compare_many(pairs)
+        winners = resolve_winners(records, session.rng)
+        losers = np.where(winners == records.lefts, records.rights, records.lefts)
         survivors = [current[-1]] if len(current) % 2 == 1 else []
-        for rec in records:
-            winner = resolve_winner(rec, session.rng)
-            loser = rec.left if winner == rec.right else rec.right
+        for winner, loser in zip(winners.tolist(), losers.tolist()):
             conquerors[loser].add(winner)
             survivors.append(winner)
         current = survivors

@@ -51,6 +51,7 @@ wherever a bag is emptied, and never serialized.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterator, Mapping
+from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -107,6 +108,16 @@ _SLOT_ARRAYS = {
     "_front_code": np.int8,
     "_queued": np.bool_,
 }
+
+
+def _pair_keys(
+    lefts: np.ndarray, rights: np.ndarray
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """The canonical ``(lo, hi)`` key of each pair, and the lo and hi
+    columns; the slot table is then read with one C-level ``map``."""
+    lefts, rights = np.asarray(lefts), np.asarray(rights)
+    lo, hi = np.minimum(lefts, rights), np.maximum(lefts, rights)
+    return list(zip(lo.tolist(), hi.tolist())), lo, hi
 
 
 def _grown(array: np.ndarray, needed: int) -> np.ndarray:
@@ -282,48 +293,39 @@ class JudgmentCache:
         Ids that go stale (see :meth:`_free_empty_slots`) are detected
         and looked up again there, so passing them is always safe.
         """
+        keys, lo, hi = _pair_keys(lefts, rights)
         slot_of = self._slot_of
+        found = list(map(slot_of.get, keys, repeat(-1)))
+        if -1 not in found:
+            return np.asarray(found, dtype=np.int64)
+        # No stored pair is a self-pair, so a self-pair here is new.
+        if (lo == hi).any():
+            item = int(lo[(lo == hi).argmax()])
+            raise ValueError(f"cannot compare item {item} with itself")
+        # New pairs take slots in order of first appearance: freed ids
+        # first, lowest first, then ids never used.
+        new = dict.fromkeys(compress(keys, map((-1).__eq__, found)))
         free = self._free
-        used = self._used
-        out = []
-        new = []
-        try:
-            for i, j in zip(
-                np.asarray(lefts).tolist(), np.asarray(rights).tolist()
-            ):
-                key = (i, j) if i < j else (j, i)
-                slot = slot_of.get(key)
-                if slot is None:
-                    if i == j:
-                        raise ValueError(f"cannot compare item {i} with itself")
-                    if free:
-                        slot = free.pop()
-                    else:
-                        slot = used
-                        used += 1
-                    slot_of[key] = slot
-                    new.append((slot, *key))
-                out.append(slot)
-        finally:
-            if new:
-                if used > self._n.shape[0]:
-                    for name in _SLOT_ARRAYS:
-                        setattr(self, name, _grown(getattr(self, name), used))
-                self._used = used
-                slots, self._lo[slots], self._hi[slots] = np.asarray(
-                    new, dtype=np.int64
-                ).T
-        return np.asarray(out, dtype=np.int64)
+        reuse = min(len(free), len(new))
+        slots = free[len(free) - reuse :][::-1]
+        del free[len(free) - reuse :]
+        used = self._used + len(new) - reuse
+        slots.extend(range(self._used, used))
+        slot_of.update(zip(new, slots))
+        if used > self._n.shape[0]:
+            for name in _SLOT_ARRAYS:
+                setattr(self, name, _grown(getattr(self, name), used))
+        self._used = used
+        out = np.asarray(list(map(slot_of.get, keys)), dtype=np.int64)
+        self._lo[out] = lo  # rewrites the same pair where a slot existed
+        self._hi[out] = hi
+        return out
 
     def _find_slots(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         """Existing slot ids of the pairs, ``-1`` where a pair has none."""
-        get = self._slot_of.get
+        keys, _, _ = _pair_keys(lefts, rights)
         return np.asarray(
-            [
-                get((i, j) if i < j else (j, i), -1)
-                for i, j in zip(lefts.tolist(), rights.tolist())
-            ],
-            dtype=np.int64,
+            list(map(self._slot_of.get, keys, repeat(-1))), dtype=np.int64
         )
 
     def _checked_slots(

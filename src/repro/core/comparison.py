@@ -8,19 +8,21 @@ evaluated after every sample inside a batch, so the monetary cost is
 that of the strictly sequential Algorithm 1.  Every comparison, single
 or in a parallel group, races through :meth:`CrowdSession.compare_many
 <repro.crowd.session.CrowdSession.compare_many>`; a
-:class:`ComparisonRecord` is what it reports for each pair.
+:class:`ComparisonRecord` is what it reports for each pair, and
+:class:`GroupRecords` holds a whole group's records as columns.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .outcomes import Outcome
 
-__all__ = ["ComparisonRecord"]
+__all__ = ["ComparisonRecord", "GroupRecords"]
 
 
 @dataclass(frozen=True)
@@ -126,3 +128,73 @@ class ComparisonRecord:
                 stds.tolist(),
             )
         ]
+
+
+class GroupRecords(Sequence):
+    """What a comparison group concluded, one column per record field.
+
+    Element ``r`` of every column describes occurrence ``r`` of the
+    group, in input order: ``lefts`` and ``rights`` are its item ids,
+    ``codes`` its verdict (``+1`` left wins, ``-1`` right wins, ``0``
+    tie), then its ``workloads``, ``costs``, ``rounds``, ``means`` (NaN
+    for an empty workload) and ``stds``.  Wide groups' readers take the
+    columns; indexing or iterating builds the
+    :class:`ComparisonRecord` list, once, with
+    :meth:`ComparisonRecord.from_arrays`.  A group equals the list of
+    its records.
+    """
+
+    __slots__ = (
+        "lefts", "rights", "codes", "workloads", "costs", "rounds", "means",
+        "stds", "_records",
+    )
+
+    def __init__(
+        self,
+        lefts: np.ndarray,
+        rights: np.ndarray,
+        codes: np.ndarray,
+        *,
+        workloads: np.ndarray,
+        costs: np.ndarray,
+        rounds: np.ndarray,
+        means: np.ndarray,
+        stds: np.ndarray,
+    ) -> None:
+        self.lefts, self.rights, self.codes = lefts, rights, codes
+        self.workloads, self.costs, self.rounds = workloads, costs, rounds
+        self.means, self.stds = means, stds
+        self._records: list[ComparisonRecord] | None = None
+
+    def _list(self) -> list[ComparisonRecord]:
+        if self._records is None:
+            self._records = ComparisonRecord.from_arrays(
+                self.lefts,
+                self.rights,
+                self.codes,
+                workloads=self.workloads,
+                costs=self.costs,
+                rounds=self.rounds,
+                means=self.means,
+                stds=self.stds,
+            )
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, GroupRecords):
+            other = other._list()
+        return self._list() == other if isinstance(other, list) else NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"GroupRecords({self._list()!r})"

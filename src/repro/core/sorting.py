@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import AlgorithmError
-from .comparison import ComparisonRecord
+from .comparison import ComparisonRecord, GroupRecords
 from .outcomes import Outcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "resolve_winner",
+    "resolve_winners",
     "crowd_max_many",
     "odd_even_sort",
     "merge_sort",
@@ -54,6 +55,20 @@ def resolve_winner(record: ComparisonRecord, rng: np.random.Generator) -> int:
     return record.left if rng.random() < 0.5 else record.right
 
 
+def resolve_winners(records: GroupRecords, rng: np.random.Generator) -> np.ndarray:
+    """The winning item id of each record, as :func:`resolve_winner` picks
+    it record by record: the coin flips draw ``rng`` in record order."""
+    left_wins = records.codes > 0
+    tied = (records.codes == 0).nonzero()[0]
+    if tied.size:
+        means = records.means[tied]
+        informative = np.isfinite(means) & (means != 0.0)
+        left_wins[tied] = informative & (means > 0)
+        flips = tied[~informative]
+        left_wins[flips] = rng.random(flips.size) < 0.5
+    return np.where(left_wins, records.lefts, records.rights)
+
+
 def crowd_max_many(
     session: "CrowdSession", samples: list[list[int]]
 ) -> list[int]:
@@ -74,13 +89,13 @@ def crowd_max_many(
             for pos in range(0, len(bracket) - 1, 2):
                 pairs.append((bracket[pos], bracket[pos + 1]))
                 sources.append(which)
-        records = session.compare_many(pairs)
+        winners = resolve_winners(session.compare_many(pairs), session.rng)
         # Odd leftovers get a bye into the next level.
         survivors: list[list[int]] = [
             [bracket[-1]] if len(bracket) % 2 == 1 else [] for bracket in brackets
         ]
-        for which, rec in zip(sources, records):
-            survivors[which].append(resolve_winner(rec, session.rng))
+        for which, winner in zip(sources, winners.tolist()):
+            survivors[which].append(winner)
         brackets = survivors
     return [bracket[0] for bracket in brackets]
 
@@ -127,12 +142,10 @@ def _adjacent_pass(
     records = session.compare_many(
         [(order[pos], order[pos + 1]) for pos in pairs_at]
     )
-    swapped = False
-    for pos, rec in zip(pairs_at, records):
-        if rec.outcome is Outcome.RIGHT:
-            order[pos], order[pos + 1] = order[pos + 1], order[pos]
-            swapped = True
-    return swapped
+    swaps = (records.codes < 0).nonzero()[0]
+    for pos in (start + 2 * swaps).tolist():
+        order[pos], order[pos + 1] = order[pos + 1], order[pos]
+    return bool(swaps.size)
 
 
 def odd_even_sort(

@@ -11,8 +11,9 @@ group size.  A single :meth:`CrowdSession.compare` is a group of one pair:
 there is no other comparison engine.
 
 :func:`plan_group` validates and dedupes the group; :func:`race_planned`
-races it and synthesizes one :class:`ComparisonRecord` per occurrence with
-the accounting semantics of a loop of single comparisons:
+races it and reports one record per occurrence, as the columns of a
+:class:`~repro.core.comparison.GroupRecords`, with the accounting
+semantics of a loop of single comparisons:
 
 * the stopping rule is checked after every sample;
 * cost is charged only for consumed microtasks;
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from ..core.comparison import ComparisonRecord
+from ..core.comparison import GroupRecords
 from .pool import TIE, RacingPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -110,7 +111,7 @@ def plan_group(pairs) -> Group:
 
 def race_planned(
     session: "CrowdSession", group: Group
-) -> tuple[list[ComparisonRecord], GroupTally]:
+) -> tuple[GroupRecords, GroupTally]:
     """Race a planned group; its records in input order and its tally.
 
     Charges the session for consumed microtasks only; latency is *not*
@@ -130,18 +131,18 @@ def race_planned(
             rounds_of[idx] = pool._rounds_done
         pending -= len(resolved)
 
-    # Record synthesis is array-native end to end: per-pair verdicts and
-    # moments are whole-group passes, each record field is one gather from
-    # them, orientation flips multiply by -1 (exact negation) and repeats
-    # multiply their cost and rounds by 0; one
-    # :meth:`ComparisonRecord.from_arrays` call builds the records,
+    # The records are array-native end to end: per-pair verdicts and
+    # moments are whole-group passes, each column is one gather from them,
+    # orientation flips multiply by -1 (exact negation) and repeats
+    # multiply their cost and rounds by 0.  ComparisonRecords are built
+    # from the columns only when a reader indexes or iterates them,
     # bit-identical to a per-row synthesis (pinned by
     # tests/test_record_synthesis.py and the apply-parity golden).
     # No errstate guard needed: denominators are clamped >= 1 and every
     # NaN below is propagation of an existing NaN, which never warns.
-    # An empty workload's mean (0 here) reads NaN in its record.
     n_u = pool.n
     mean_u = pool.s1 / np.maximum(n_u, 1)
+    mean_u[n_u == 0] = np.nan
     var_u = (pool.s2 - n_u * mean_u * mean_u) / np.maximum(n_u - 1, 1)
     std_u = np.sqrt(np.where(n_u >= 2, np.maximum(var_u, 0.0), np.nan))
     # A resolved pair's status is its code, except that a tie reads TIE.
@@ -154,14 +155,14 @@ def race_planned(
     slot_n = n_u[slots]
     costs = (n_u - replayed)[slots] * fresh
     codes = code_u[slots] * signs
-    records = ComparisonRecord.from_arrays(
+    records = GroupRecords(
         np.asarray(group.lefts, dtype=np.int64),
         np.asarray(group.rights, dtype=np.int64),
         codes,
         workloads=slot_n,
         costs=costs,
         rounds=rounds_of[slots] * fresh,
-        means=mean_u[slots] * signs,
+        means=mean_u[slots] * signs,  # an empty workload's NaN passes through
         stds=std_u[slots],  # NaN (workload < 2) passes through
     )
     # Repeats cost nothing and are replays of the first occurrence's

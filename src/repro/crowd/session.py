@@ -20,7 +20,7 @@ import numpy as np
 
 from ..config import ComparisonConfig, comparison_config_from_dict
 from ..core.cache import JudgmentCache
-from ..core.comparison import ComparisonRecord
+from ..core.comparison import ComparisonRecord, GroupRecords
 from ..core.estimators import SequentialTester, make_tester
 from ..rng import make_rng
 from ..telemetry import MetricsRegistry, Span, get_registry
@@ -277,7 +277,7 @@ class CrowdSession:
         """
         return self.compare_many(((i, j),))[0]
 
-    def compare_many(self, pairs: Iterable[tuple[int, int]]) -> list[ComparisonRecord]:
+    def compare_many(self, pairs: Iterable[tuple[int, int]]) -> GroupRecords:
         """Run a parallel comparison group (§5.5), charging both ledgers.
 
         The whole group advances through one vectorized
@@ -285,12 +285,13 @@ class CrowdSession:
         stopping-rule evaluation per lockstep round, no per-pair Python
         loop.  It is charged only the microtasks its pairs consume and
         billed the ``max`` of its members' rounds; see
-        docs/performance.md.
+        docs/performance.md.  The records come back as the columns of a
+        :class:`~repro.core.comparison.GroupRecords`, in input order.
         """
         group = plan_group(pairs)  # rejects self-pairs before the ledgers see them
         count = len(group.lefts)
         if not count:
-            return []
+            return race_planned(self, group)[0]  # empty columns, nothing charged
         _, comparisons, _, cache_hits, ties, workload, groups = self._instruments()
         groups.inc()
         self.cost.begin_comparisons(count)

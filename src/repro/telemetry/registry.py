@@ -230,8 +230,23 @@ class Histogram:
                 self.max = high
             self._values.extend(values)
         else:
+            # The reservoir fills up or is full: observe's steps, in one loop.
+            count, total, low, high = self.count, self.sum, self.min, self.max
+            reservoir, cap, randrange = self._values, self._cap, self._rng.randrange
             for value in values:
-                self.observe(value)
+                count += 1
+                total += value
+                if value < low:
+                    low = value
+                if value > high:
+                    high = value
+                if len(reservoir) < cap:
+                    reservoir.append(value)
+                else:
+                    slot = randrange(count)
+                    if slot < cap:
+                        reservoir[slot] = value
+            self.count, self.sum, self.min, self.max = count, total, low, high
 
     @property
     def mean(self) -> float:

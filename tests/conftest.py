@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import ComparisonConfig
+from repro.core.comparison import GroupRecords
 from repro.core.items import ItemSet
 from repro.crowd.group import plan_group
 from repro.crowd.oracle import LatentScoreOracle
@@ -53,7 +54,7 @@ def make_latent_session(
 race_group = CrowdSession.compare_many
 
 
-def per_pair_compare_many(session: CrowdSession, pairs) -> list:
+def per_pair_compare_many(session: CrowdSession, pairs) -> GroupRecords:
     """A parallel comparison group as one single comparison per pair, in
     input order, billed the max of their rounds (§5.5).
 
@@ -64,12 +65,28 @@ def per_pair_compare_many(session: CrowdSession, pairs) -> list:
     to run a whole algorithm under it (forked sessions share the class).
     """
     group = plan_group(pairs)
-    records = []
+    if not group.lefts:
+        return race_group(session, ())
+    singles = []
     for i, j in zip(group.lefts, group.rights):
         rounds = session.latency.rounds
-        records.append(race_group(session, ((i, j),))[0])
+        singles.append(race_group(session, ((i, j),)))
         session.latency.rounds = rounds  # the group is billed below
-    session.latency.add_parallel([r.rounds for r in records])
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([getattr(single, name) for single in singles])
+
+    records = GroupRecords(
+        column("lefts"),
+        column("rights"),
+        column("codes"),
+        workloads=column("workloads"),
+        costs=column("costs"),
+        rounds=column("rounds"),
+        means=column("means"),
+        stds=column("stds"),
+    )
+    session.latency.add_parallel(records.rounds.tolist())
     return records
 
 

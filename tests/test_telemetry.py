@@ -585,6 +585,19 @@ class TestBatchedInstruments:
         assert batched.sum == sequential.sum
         assert (batched.min, batched.max) == (sequential.min, sequential.max)
 
+    def test_observe_many_keeps_the_reservoir_sequence(self):
+        # One name, so both reservoirs draw the same randrange stream;
+        # batches that fill, straddle and overrun the cap must admit and
+        # replace exactly the values a loop of observe calls does.
+        values = np.random.default_rng(7).integers(0, 500, 700).astype(float)
+        batched, sequential = (Histogram("w", reservoir=64) for _ in range(2))
+        for batch in np.split(values.tolist(), [10, 64, 65, 300]):
+            batched.observe_many(batch.tolist())
+        for value in values.tolist():
+            sequential.observe(value)
+        assert batched._values == sequential._values
+        assert (batched.count, batched.sum) == (sequential.count, sequential.sum)
+
     def test_observe_many_empty_is_noop(self):
         hist = Histogram("h")
         hist.observe_many([])
