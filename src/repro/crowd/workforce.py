@@ -21,7 +21,7 @@ worker heterogeneity: spammers inflate cost, not error rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -13,7 +13,6 @@ phase replaced by that free choice — the partition and ranking phases
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import math

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import ComparisonConfig
 from .errors import ConfigError
 from .extensions.economics import MICROTASK_UNIT_COST_USD, dollars_for

@@ -1,7 +1,5 @@
 """ComparisonRecord semantics across all outcomes."""
 
-import math
-
 import pytest
 
 from repro.core.comparison import ComparisonRecord

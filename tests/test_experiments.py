@@ -1,6 +1,5 @@
 """Experiment harness: params, reporting, runner, and tiny end-to-end sweeps."""
 
-import numpy as np
 import pytest
 
 from repro.errors import AlgorithmError, ConfigError

@@ -1,6 +1,5 @@
 """Extensions: prior-guided SPR, economics."""
 
-import numpy as np
 import pytest
 
 from repro.errors import AlgorithmError

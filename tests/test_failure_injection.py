@@ -13,7 +13,7 @@ from repro.core.outcomes import Outcome
 from repro.core.spr import spr_topk
 from repro.crowd.oracle import LatentScoreOracle
 from repro.crowd.session import CrowdSession
-from repro.crowd.workers import CarelessWorkerNoise, GaussianNoise
+from repro.crowd.workers import CarelessWorkerNoise
 from tests.conftest import make_latent_session
 
 

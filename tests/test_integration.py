@@ -1,7 +1,6 @@
 """End-to-end integration: full pipeline over every dataset + invariants
 tying algorithms, sessions, caches and metrics together."""
 
-import numpy as np
 import pytest
 
 from repro import (

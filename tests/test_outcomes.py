@@ -1,7 +1,5 @@
 """The Outcome enum."""
 
-import pytest
-
 from repro.core.outcomes import Outcome
 
 

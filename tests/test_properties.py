@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.cache import JudgmentCache
 from repro.core.estimators import HoeffdingTester, SteinTester, StudentTester
 from repro.core.items import ItemSet
-from repro.core.outcomes import Outcome
 from repro.metrics import kendall_tau, ndcg_at_k, top_k_precision
 from repro.stats.median_cost import bubble_median_comparisons
 from repro.stats.reference import hit_probability, median_in_sweet_spot_probability

@@ -1,7 +1,6 @@
 """Public-API hygiene: exports resolve, are documented, and stay stable."""
 
 import importlib
-import inspect
 import pathlib
 
 import pytest

@@ -1,6 +1,5 @@
 """Sessions, ledgers and forked judgment regimes."""
 
-import numpy as np
 import pytest
 
 from repro.crowd.ledger import CostLedger, LatencyLedger

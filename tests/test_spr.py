@@ -13,7 +13,7 @@ from repro.core.spr import (
 )
 from repro.core.spr.rank import pairwise_win_probability, thurstone_order
 from repro.errors import AlgorithmError
-from tests.conftest import make_items, make_latent_session
+from tests.conftest import make_latent_session
 
 # Well-separated 30-item universe: every comparison resolves quickly and
 # SPR's answers are exact, making structural assertions deterministic.

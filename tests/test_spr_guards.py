@@ -1,7 +1,5 @@
 """SPR's defensive paths: the winner blow-up guard and recursion chains."""
 
-import pytest
-
 import repro.core.spr.spr as spr_module
 from repro.config import SPRConfig
 from repro.core.spr import spr_topk

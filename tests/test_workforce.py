@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.outcomes import Outcome
 from repro.config import ComparisonConfig
 from repro.core.spr import spr_topk
 from repro.crowd.oracle import LatentScoreOracle
