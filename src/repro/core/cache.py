@@ -51,7 +51,8 @@ wherever a bag is emptied, and never serialized.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterator, Mapping
-from itertools import compress, repeat
+from itertools import compress, repeat, starmap
+from operator import eq
 from typing import NamedTuple
 
 import numpy as np
@@ -299,8 +300,8 @@ class JudgmentCache:
         if -1 not in found:
             return np.asarray(found, dtype=np.int64)
         # No stored pair is a self-pair, so a self-pair here is new.
-        if (lo == hi).any():
-            item = int(lo[(lo == hi).argmax()])
+        if any(starmap(eq, keys)):
+            item = next(i for i, j in keys if i == j)
             raise ValueError(f"cannot compare item {item} with itself")
         # New pairs take slots in order of first appearance: freed ids
         # first, lowest first, then ids never used.
@@ -316,7 +317,9 @@ class JudgmentCache:
             for name in _SLOT_ARRAYS:
                 setattr(self, name, _grown(getattr(self, name), used))
         self._used = used
-        out = np.asarray(list(map(slot_of.get, keys)), dtype=np.int64)
+        if len(new) < len(keys):  # some pairs existed or repeat
+            slots = list(map(slot_of.get, keys))
+        out = np.asarray(slots, dtype=np.int64)
         self._lo[out] = lo  # rewrites the same pair where a slot existed
         self._hi[out] = hi
         return out
