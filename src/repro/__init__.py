@@ -109,7 +109,7 @@ from .telemetry import (
     set_registry,
     use_registry,
 )
-from .validation import run_golden_suite, run_guarantee_suite, run_invariant_suite
+from .validation import run_guarantee_suite, run_invariant_suite
 
 __version__ = "1.0.0"
 
@@ -183,7 +183,6 @@ __all__ = [
     "parse_address",
     "partition",
     "plan_query",
-    "run_golden_suite",
     "run_guarantee_suite",
     "run_invariant_suite",
     "save_cache",

@@ -10,7 +10,7 @@ Three subcommands cover the common workflows without writing Python:
 * ``crowd-topk experiment`` — regenerate one of the paper's tables or
   figures at a chosen run count.
 * ``crowd-topk validate`` — run the statistical validation suites
-  (empirical guarantee checking, runtime invariants, golden traces).
+  (empirical guarantee checking and runtime invariants).
 * ``crowd-topk serve`` — run the multi-tenant query service behind a
   live observatory; accepts queries over HTTP.
 * ``crowd-topk submit`` — send a :class:`~repro.service.QuerySpec` to a
@@ -35,7 +35,6 @@ Examples::
     crowd-topk experiment fig8 --dataset book --runs 2
     crowd-topk experiment fig9 --runs 10 --jobs 4
     crowd-topk validate --suite guarantees --jobs 4 --report report.json
-    crowd-topk validate --suite golden --update-golden
 
 ``--jobs N`` fans the independent runs of an experiment out over N worker
 processes (0 = one per CPU); results are bit-for-bit identical to the
@@ -92,12 +91,11 @@ from .telemetry import (
     parse_address,
     use_registry,
 )
-from .validation import run_golden_suite, run_guarantee_suite, run_invariant_suite
-from .validation.golden import DEFAULT_GOLDEN_DIR
+from .validation import run_guarantee_suite, run_invariant_suite
 from .validation.guarantees import DEFAULT_ALPHAS, DEFAULT_REPLICATIONS
 
 #: Suites in the order ``--suite all`` runs them.
-VALIDATION_SUITES = ("guarantees", "invariants", "golden")
+VALIDATION_SUITES = ("guarantees", "invariants")
 
 __all__ = ["main", "build_parser"]
 
@@ -237,9 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the statistical validation suites",
         description="Measure the library against the paper's statistical "
         "promises: empirical error rates vs the declared alpha "
-        "(guarantees), accounting identities on live sessions "
-        "(invariants), and structural snapshots of pinned scenarios "
-        "(golden).  Exit code 0 = all requested suites pass.",
+        "(guarantees) and accounting identities on live sessions "
+        "(invariants).  Exit code 0 = all requested suites pass.",
     )
     validate.add_argument(
         "--suite", choices=VALIDATION_SUITES + ("all",), default="all",
@@ -268,14 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument(
         "--telemetry", metavar="PATH", default=None,
         help="write validation spans and a metrics snapshot to a JSONL file",
-    )
-    validate.add_argument(
-        "--golden-dir", metavar="DIR", default=str(DEFAULT_GOLDEN_DIR),
-        help=f"directory holding golden traces (default {DEFAULT_GOLDEN_DIR})",
-    )
-    validate.add_argument(
-        "--update-golden", action="store_true",
-        help="re-pin the golden traces instead of diffing against them",
     )
 
     serve = commands.add_parser(
@@ -690,12 +679,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                         replications=args.replications,
                         seed=args.seed,
                     )
-                elif suite == "invariants":
-                    report = run_invariant_suite(seed=args.seed)
                 else:
-                    report = run_golden_suite(
-                        args.golden_dir, update=args.update_golden
-                    )
+                    report = run_invariant_suite(seed=args.seed)
                 reports[suite] = report
                 print(report.to_text())
                 print()

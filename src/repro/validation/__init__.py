@@ -14,12 +14,8 @@ from that per-comparison guarantee (§3.1, §5.4).  The rest of the library
   match recomputation, partition trichotomy is exhaustive, the selected
   reference lands in the sweet spot) that tests and the simulator can both
   attach to a live :class:`~repro.crowd.session.CrowdSession`.
-* :mod:`repro.validation.golden` — golden-trace snapshots of
-  :class:`~repro.core.comparison.ComparisonRecord` streams for pinned
-  seeds, diffed structurally (ints exactly, floats to a tolerance) rather
-  than by blanket float equality.
 
-All three suites are wired into the CLI as ``crowd-topk validate`` and
+Both suites are wired into the CLI as ``crowd-topk validate`` and
 report through the telemetry registry (``validation_*`` metrics — see
 docs/observability.md); docs/testing.md explains how they slot into the
 tiered test architecture.
@@ -27,14 +23,6 @@ tiered test architecture.
 
 from __future__ import annotations
 
-from .golden import (
-    GoldenReport,
-    GoldenTrace,
-    TraceRecorder,
-    default_golden_cases,
-    diff_traces,
-    run_golden_suite,
-)
 from .guarantees import (
     GuaranteeCheck,
     GuaranteeReport,
@@ -51,19 +39,13 @@ from .invariants import (
 )
 
 __all__ = [
-    "GoldenReport",
-    "GoldenTrace",
     "GuaranteeCheck",
     "GuaranteeReport",
     "InvariantEngine",
     "InvariantReport",
     "InvariantResult",
     "InvariantViolation",
-    "TraceRecorder",
     "check_resume_determinism",
-    "default_golden_cases",
-    "diff_traces",
-    "run_golden_suite",
     "run_guarantee_suite",
     "run_invariant_suite",
     "wilson_interval",

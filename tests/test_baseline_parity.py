@@ -8,7 +8,7 @@ top-k, cost, rounds, every counter with its labels, every non-timing
 histogram's count and sum, and a digest of the settled judgment cache.
 
 The expected digests (``tests/golden/baseline_parity.json``) were
-generated by ``scripts/gen_baseline_parity_golden.py`` on a tree whose
+generated by ``scripts/gen_golden.py baseline_parity`` on a tree whose
 behaviour is known-good.  Tier 1 runs each method and dataset at its
 first seed; ``-m statistical`` runs every seed.  Regenerating is only
 legitimate when a change moves what the baselines buy on purpose and
@@ -74,7 +74,7 @@ def golden() -> dict:
     if not GOLDEN_PATH.exists():  # pragma: no cover - repo invariant
         pytest.fail(
             f"{GOLDEN_PATH} missing; regenerate with "
-            "scripts/gen_baseline_parity_golden.py on a known-good tree"
+            "scripts/gen_golden.py baseline_parity on a known-good tree"
         )
     return json.loads(GOLDEN_PATH.read_text())["cases"]
 

@@ -10,7 +10,7 @@ pins the top-k, cost, rounds, comparisons, ties, and the float64 bits of
 the final posterior shapes and ranking loss.
 
 The expected values (``tests/golden/bdp_parity.json``) were generated by
-``scripts/gen_bdp_parity_golden.py`` on a tree whose BDP behaviour is
+``scripts/gen_golden.py bdp_parity`` on a tree whose BDP behaviour is
 known-good.  A change to how BDP scores or buys pairs that moves any of
 them changes the answers; regenerating is only legitimate when a change
 alters BDP's semantics on purpose and says why.
@@ -125,7 +125,7 @@ def golden() -> dict:
     if not GOLDEN_PATH.exists():  # pragma: no cover - repo invariant
         pytest.fail(
             f"{GOLDEN_PATH} missing; regenerate with "
-            "scripts/gen_bdp_parity_golden.py on a known-good tree"
+            "scripts/gen_golden.py bdp_parity on a known-good tree"
         )
     return json.loads(GOLDEN_PATH.read_text())["cases"]
 

@@ -22,7 +22,7 @@ budget, so a stored tie replays and buys on.  Every scenario passes its
 runs the same chains and must match too.
 
 The expected values (``tests/golden/compare_parity.json``) are written by
-``scripts/gen_compare_parity_golden.py`` on a known-good tree; regenerate
+``scripts/gen_golden.py compare_parity`` on a known-good tree; regenerate
 only for a deliberate change of what a single comparison buys or bills,
 and say why.  Tier-1 checks a fixed slice of the grid; the whole grid is
 the ``statistical`` tier.
@@ -236,7 +236,7 @@ def _golden() -> dict:
     if not GOLDEN_PATH.exists():  # pragma: no cover - repo invariant
         pytest.fail(
             f"{GOLDEN_PATH} missing; regenerate with "
-            "scripts/gen_compare_parity_golden.py on a known-good tree"
+            "scripts/gen_golden.py compare_parity on a known-good tree"
         )
     return json.loads(GOLDEN_PATH.read_text())["cases"]
 

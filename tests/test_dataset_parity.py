@@ -10,7 +10,7 @@ histogram's count and sum, and a digest of the settled judgment cache
 its values).
 
 The expected digests (``tests/golden/dataset_parity.json``) were
-generated by ``scripts/gen_dataset_parity_golden.py`` on a tree whose
+generated by ``scripts/gen_golden.py dataset_parity`` on a tree whose
 behaviour is known-good.  A change that moves any of them changes what
 the crowd is asked or what is recorded; regenerating is only legitimate
 when a PR changes semantics on purpose and says why.
@@ -101,7 +101,7 @@ def golden() -> dict:
     if not GOLDEN_PATH.exists():  # pragma: no cover - repo invariant
         pytest.fail(
             f"{GOLDEN_PATH} missing; regenerate with "
-            "scripts/gen_dataset_parity_golden.py on a known-good tree"
+            "scripts/gen_golden.py dataset_parity on a known-good tree"
         )
     return json.loads(GOLDEN_PATH.read_text())["cases"]
 

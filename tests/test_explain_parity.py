@@ -14,7 +14,7 @@ that phase) and a phase row's ``seconds`` (wall time, which no fixture
 can pin).
 
 The expected documents (``tests/golden/explain_parity.json``) were
-generated by ``scripts/gen_explain_parity_golden.py`` on a tree whose
+generated by ``scripts/gen_golden.py explain_parity`` on a tree whose
 behaviour is known-good.  Regenerating is only legitimate when a change
 alters what queries buy or how a report attributes it, on purpose, and
 says why.
@@ -76,7 +76,7 @@ def golden() -> dict:
     if not GOLDEN_PATH.exists():  # pragma: no cover - repo invariant
         pytest.fail(
             f"{GOLDEN_PATH} missing; regenerate with "
-            "scripts/gen_explain_parity_golden.py on a known-good tree"
+            "scripts/gen_golden.py explain_parity on a known-good tree"
         )
     return json.loads(GOLDEN_PATH.read_text())["reports"]
 

@@ -89,7 +89,6 @@ PUBLIC_API = [
     "reference_sort",
     "resume_bdp_topk",
     "resume_spr_topk",
-    "run_golden_suite",
     "run_guarantee_suite",
     "run_invariant_suite",
     "run_query",
@@ -164,11 +163,15 @@ class TestPublicApiSnapshot:
 
     def test_validation_entry_points_are_public(self):
         for name in (
-            "run_golden_suite",
             "run_guarantee_suite",
             "run_invariant_suite",
         ):
             assert name in repro.__all__, name
+        # Golden traces are pinned by tests/test_trace_parity.py; the
+        # library's golden harness is gone, not kept as a second path.
+        assert not hasattr(repro, "run_golden_suite")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.validation.golden")
 
     def test_service_surface_is_public(self):
         # The multi-tenant service front door: the declarative spec, the

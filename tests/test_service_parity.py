@@ -16,7 +16,7 @@ to a few hundred entries, so that evictions, log compaction and slot
 recycling fall between the replays.
 
 The expected digests (``tests/golden/service_parity.json``) were
-generated by ``scripts/gen_service_parity_golden.py`` on a tree whose
+generated by ``scripts/gen_golden.py service_parity`` on a tree whose
 behaviour is known-good.  Regenerating is only legitimate when a change
 alters what queries buy on purpose and says why.
 """
@@ -100,7 +100,7 @@ def golden() -> dict:
     if not GOLDEN_PATH.exists():  # pragma: no cover - repo invariant
         pytest.fail(
             f"{GOLDEN_PATH} missing; regenerate with "
-            "scripts/gen_service_parity_golden.py on a known-good tree"
+            "scripts/gen_golden.py service_parity on a known-good tree"
         )
     return json.loads(GOLDEN_PATH.read_text())["runs"]
 

@@ -10,14 +10,10 @@ plumbing, deliberately below the 200-replication acceptance run.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.validation.golden import default_golden_cases
-
-GOLDEN_DIR = str(Path(__file__).parent / "golden")
 
 
 def _validate(*extra: str) -> int:
@@ -25,29 +21,6 @@ def _validate(*extra: str) -> int:
 
 
 class TestExitCodes:
-    @pytest.mark.faultfree  # golden pins record fault-free traces
-    def test_golden_suite_passes_against_checked_in_pins(self, capsys):
-        assert _validate("--suite", "golden", "--golden-dir", GOLDEN_DIR) == 0
-        out = capsys.readouterr().out
-        assert "validate: PASS" in out
-
-    def test_golden_suite_fails_without_pins(self, tmp_path, capsys):
-        code = _validate("--suite", "golden", "--golden-dir", str(tmp_path))
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "validate: FAIL" in out and "--update-golden" in out
-
-    def test_update_golden_repins_and_passes(self, tmp_path, capsys):
-        target = tmp_path / "pins"
-        code = _validate(
-            "--suite", "golden", "--golden-dir", str(target), "--update-golden"
-        )
-        assert code == 0
-        for name in default_golden_cases():
-            assert (target / f"{name}.json").exists()
-        assert "re-pinned" in capsys.readouterr().out
-        assert _validate("--suite", "golden", "--golden-dir", str(target)) == 0
-
     def test_guarantee_breach_exits_nonzero(self, capsys):
         # 5 replications cannot certify α=0.05: Wilson UB(0, 5) ≈ 0.43.
         code = _validate(
@@ -61,12 +34,19 @@ class TestExitCodes:
         assert _validate("--suite", "invariants") == 0
         assert "invariants:" in capsys.readouterr().out
 
+    def test_golden_suite_is_gone(self, capsys):
+        # Golden traces are pinned by tests/test_trace_parity.py instead.
+        with pytest.raises(SystemExit) as exc:
+            _validate("--suite", "golden")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "golden" in err
+
     def test_unwritable_telemetry_path_fails_before_running(self, tmp_path, capsys):
         blocked = tmp_path / "not-a-dir"
         blocked.write_text("file, not directory")
         code = _validate(
-            "--suite", "golden", "--golden-dir", GOLDEN_DIR,
-            "--telemetry", str(blocked / "out.jsonl"),
+            "--suite", "invariants", "--telemetry", str(blocked / "out.jsonl")
         )
         assert code == 1
         assert "cannot write telemetry" in capsys.readouterr().err
@@ -102,18 +82,15 @@ class TestReportArtifact:
         pooled = self._run(tmp_path / "pooled", "--jobs", "2")
         assert serial == pooled
 
-    @pytest.mark.faultfree  # runs the golden suite against fault-free pins
     def test_all_suites_appear_in_combined_report(self, tmp_path):
         report = tmp_path / "report.json"
         code = _validate(
-            "--suite", "all", "--replications", "40", "--golden-dir", GOLDEN_DIR,
-            "--report", str(report),
+            "--suite", "all", "--replications", "40", "--report", str(report),
         )
         payload = json.loads(report.read_text())
-        assert set(payload["suites"]) == {"guarantees", "invariants", "golden"}
+        assert set(payload["suites"]) == {"guarantees", "invariants"}
         assert code == (0 if payload["passed"] else 1)
         assert payload["suites"]["invariants"]["passed"]
-        assert payload["suites"]["golden"]["passed"]
 
 
 class TestTelemetryStream:
