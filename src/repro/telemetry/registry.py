@@ -219,15 +219,13 @@ class Histogram:
         if len(self._values) + len(values) <= self._cap:
             # Reservoir fits: admission is a plain extend, min/max reduce
             # over the batch, and only the sum keeps its sequential order
-            # (float addition is not associative).
+            # (float addition is not associative).  Seeding min/max with
+            # the running extremes makes them skip a NaN as observe does.
             for value in values:
                 self.sum += value
             self.count += len(values)
-            low, high = min(values), max(values)
-            if low < self.min:
-                self.min = low
-            if high > self.max:
-                self.max = high
+            self.min = min(self.min, *values)
+            self.max = max(self.max, *values)
             self._values.extend(values)
         else:
             # The reservoir fills up or is full: observe's steps, in one loop.

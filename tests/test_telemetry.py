@@ -598,6 +598,18 @@ class TestBatchedInstruments:
         assert batched._values == sequential._values
         assert (batched.count, batched.sum) == (sequential.count, sequential.sum)
 
+    @pytest.mark.parametrize("reservoir", [None, 2])
+    def test_observe_many_skips_nan_extremes_like_observe(self, reservoir):
+        # observe never lets a NaN become min or max, also when it comes
+        # first; both the reservoir-fits and the overflowing path must agree.
+        for values in ([math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [math.nan]):
+            batched, sequential = (Histogram("n", reservoir=reservoir) for _ in range(2))
+            batched.observe_many(values)
+            for value in values:
+                sequential.observe(value)
+            assert (batched.min, batched.max) == (sequential.min, sequential.max)
+        assert (batched.min, batched.max) == (math.inf, -math.inf)
+
     def test_observe_many_empty_is_noop(self):
         hist = Histogram("h")
         hist.observe_many([])
