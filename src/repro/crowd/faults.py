@@ -55,9 +55,10 @@ class FaultInjector(JudgmentOracle):
         sequence.
     force:
         Route consumers through the fault-aware delivery path even when
-        every rate is zero (all tasks then arrive).  Used by the
-        ``--suite faults`` benchmark to price the resilience machinery
-        itself; never needed in normal operation.
+        every rate is zero (all tasks then arrive).  Its one user is
+        ``tests/test_resilience.py::TestZeroFaultBitIdentity``, which
+        holds the fault-aware round to the fault-free one bit for bit;
+        never needed in normal operation.
     """
 
     def __init__(

@@ -60,6 +60,22 @@ class TestDesignIndex:
         ]
         assert not missing, missing
 
+    def test_scripts_named_in_docs_exist(self):
+        # A deleted script must not stay named in the docs or the verify
+        # skill.  A name with a ``*`` must match at least one script.
+        pages = ["README.md", "CONTRIBUTING.md", "DESIGN.md"] + sorted(
+            str(path.relative_to(ROOT)) for path in (ROOT / "docs").glob("*.md")
+        ) + [".claude/skills/verify/SKILL.md"]
+        missing = [
+            f"{page}: {script}"
+            for page in pages
+            for script in sorted(
+                set(re.findall(r"(?<![\w/])(scripts/[\w*.-]+\.py)", read(page)))
+            )
+            if not any(ROOT.glob(script))
+        ]
+        assert not missing, missing
+
 
 class TestExperimentsRecord:
     def test_mentions_every_paper_asset(self):
