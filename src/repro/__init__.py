@@ -79,10 +79,8 @@ from .errors import (
     ServiceError,
     SLAExceededError,
 )
-from .metrics import kendall_tau, ndcg_at_k, top_k_precision, top_k_recall
+from .metrics import ndcg_at_k, top_k_precision
 from .persistence import (
-    cache_from_json,
-    cache_to_json,
     load_cache,
     load_checkpoint,
     save_cache,
@@ -169,12 +167,9 @@ __all__ = [
     "hybrid_spr_topk",
     "hybrid_topk",
     "infimum_estimate",
-    "kendall_tau",
     "load_dataset",
     "ndcg_at_k",
     "QueryPlan",
-    "cache_from_json",
-    "cache_to_json",
     "default_resilience",
     "explain_query",
     "get_registry",
@@ -200,7 +195,6 @@ __all__ = [
     "spr_topk",
     "stopping_from_document",
     "top_k_precision",
-    "top_k_recall",
     "tournament_topk",
     "__version__",
 ]

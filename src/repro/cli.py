@@ -61,6 +61,7 @@ from . import __version__
 from .algorithms import ALGORITHMS, RESUMERS
 from .crowd.session import CrowdSession
 from .datasets import DATASET_NAMES, load_dataset
+from .errors import CrowdTopkError
 from .experiments import (
     ExperimentParams,
     use_jobs,
@@ -459,7 +460,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             if args.resume:
                 try:
                     session = CrowdSession.restore(args.checkpoint, dataset.oracle)
-                except (OSError, ValueError) as exc:
+                except (OSError, ValueError, CrowdTopkError) as exc:
                     print(f"error: cannot resume from {args.checkpoint}: {exc}",
                           file=sys.stderr)
                     return 1

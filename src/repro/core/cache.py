@@ -59,8 +59,6 @@ import numpy as np
 
 __all__ = ["JudgmentCache", "Replay"]
 
-#: Shared zero-length bag returned for cache misses in bulk lookups.
-_EMPTY_BAG = np.empty(0, dtype=np.float64)
 _NO_SLOTS = np.empty(0, dtype=np.int64)
 
 #: A stopping rule for :meth:`JudgmentCache.replay`:
@@ -178,12 +176,7 @@ def _merged(pending: list[tuple]) -> tuple:
         np.concatenate(rights),
         values,
         np.concatenate(counts),
-        np.concatenate(
-            [
-                np.full(height, -1, dtype=np.int64) if ids is None else ids
-                for ids, height in zip(slots, heights)
-            ]
-        ),
+        np.concatenate(slots),
     )
 
 
@@ -261,10 +254,8 @@ class JudgmentCache:
         self._front_key: object = None
         # Batches queued by :meth:`defer_rows`, folded in arrival order by
         # :meth:`_drain` before a read or direct write could see them; the
-        # slots they write are marked in _queued, and _blind is set while
-        # one of them was queued without its slots.
+        # slots they write are marked in _queued.
         self._pending: list[tuple] = []
-        self._blind = False
         self._reset_log()
 
     def _reset_log(self) -> None:
@@ -369,14 +360,6 @@ class JudgmentCache:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def count(self, i: int, j: int) -> int:
-        """Number of judgments stored for the pair ``{i, j}``."""
-        if self._pending:
-            self._drain()
-        key, _ = self._key(i, j)
-        slot = self._slot_of.get(key)
-        return int(self._n[slot]) if slot is not None else 0
-
     def bag(self, i: int, j: int) -> np.ndarray:
         """All stored judgments oriented as ``v(o_i, o_j)`` (copy-free when
         the orientation is canonical)."""
@@ -390,34 +373,6 @@ class JudgmentCache:
         values = self._log[start : start + int(self._n[slot])]
         return values if sign > 0 else -values
 
-    def bags_for(
-        self, lefts: np.ndarray, rights: np.ndarray
-    ) -> "list[np.ndarray]":
-        """Oriented judgment views for many pairs in one pass.
-
-        Equivalent to ``[self.bag(i, j) for i, j in zip(lefts, rights)]``
-        but pays the drain guard once.  Trusted internal path: no
-        self-pairs; misses share one module-level empty array.
-        """
-        if self._pending:
-            self._drain()
-        lefts = np.asarray(lefts)
-        rights = np.asarray(rights)
-        slots = self._find_slots(lefts, rights)
-        log = self._log
-        out: list[np.ndarray] = []
-        for start, size, flip in zip(
-            self._start[slots].tolist(),
-            self._sizes(slots).tolist(),
-            (lefts > rights).tolist(),
-        ):
-            if not size:
-                out.append(_EMPTY_BAG)
-            else:
-                values = log[start : start + size]
-                out.append(-values if flip else values)
-        return out
-
     def replay(
         self,
         lefts: np.ndarray,
@@ -426,7 +381,7 @@ class JudgmentCache:
         key: Hashable,
         decide: Decide,
         *,
-        slots: np.ndarray | None = None,
+        slots: np.ndarray,
     ) -> Replay | None:
         """Run a stopping rule over the first ``limit`` judgments of many
         pairs, each bag read from where the last replay of it stopped.
@@ -461,35 +416,28 @@ class JudgmentCache:
 
         Returns ``None`` when no pair has a judgment, else the
         :class:`Replay` of the pairs that have, in pair order.
-        ``slots`` (from :meth:`slot_ids`) skips the per-pair key lookup,
-        and lets the replay leave queued :meth:`defer_rows` batches
-        queued when none of them writes to a pair it reads.
+        ``slots`` are the pairs' ids from :meth:`slot_ids`: they skip the
+        per-pair key lookup, and let the replay leave queued
+        :meth:`defer_rows` batches queued when none of them writes to a
+        pair it reads.
         """
         if self._pending and self._reads_queued(slots):
             self._drain()
         lefts = np.asarray(lefts)
         rights = np.asarray(rights)
-        slots = self._read_slots(lefts, rights, slots)
+        slots = self._checked_slots(lefts, rights, slots, create=False)
         return self._replay(slots, lefts > rights, limit, key, decide)
 
-    def _reads_queued(self, slots: np.ndarray | None) -> bool:
+    def _reads_queued(self, slots: np.ndarray) -> bool:
         """Whether a replay of ``slots`` may read a bag that a queued batch
-        writes to.  True whenever that cannot be told from the marks:
-        without ``slots``, after a batch queued without its slots, or
-        once slot ids are recycled (a queued id may name another pair)."""
-        if slots is None or self._blind or self._recycled:
+        writes to.  True whenever that cannot be told from the marks: for
+        an id of ``-1``, or once slot ids are recycled (a queued id may
+        name another pair)."""
+        if self._recycled:
             return True
         if not slots.size:
             return False
         return bool(np.minimum.reduce(slots) < 0 or self._queued[slots].any())
-
-    def _read_slots(
-        self, lefts: np.ndarray, rights: np.ndarray, slots: np.ndarray | None
-    ) -> np.ndarray:
-        """The slot of each pair for a bulk read, ``-1`` where it has none."""
-        if slots is None:
-            return self._find_slots(lefts, rights)
-        return self._checked_slots(lefts, rights, slots, create=False)
 
     def _replay(
         self,
@@ -737,30 +685,6 @@ class JudgmentCache:
         self._s2[slot] += float(np.square(values).sum())
         self._total += width
 
-    def append_rows(
-        self,
-        lefts: np.ndarray,
-        rights: np.ndarray,
-        values: np.ndarray,
-        counts: np.ndarray,
-    ) -> None:
-        """Store one padded matrix of judgments across many pairs at once.
-
-        Row ``r`` contributes ``values[r, :counts[r]]`` to the bag of
-        ``(lefts[r], rights[r])`` — exactly equivalent to calling
-        :meth:`append` per row in row order (see :meth:`_drain` for why
-        the moments are bit-identical, not merely close).
-        """
-        if self._pending:
-            self._drain()
-        self.defer_rows(
-            np.asarray(lefts),
-            np.asarray(rights),
-            np.asarray(values, dtype=np.float64),
-            np.asarray(counts, dtype=np.int64),
-        )
-        self._drain()
-
     def defer_rows(
         self,
         lefts: np.ndarray,
@@ -768,9 +692,12 @@ class JudgmentCache:
         values: np.ndarray,
         counts: np.ndarray,
         *,
-        slots: np.ndarray | None = None,
+        slots: np.ndarray,
     ) -> None:
-        """Queue one :meth:`append_rows`-shaped batch for a later bulk apply.
+        """Queue a padded matrix of judgments across many pairs for a later
+        bulk apply: row ``r`` adds ``values[r, :counts[r]]`` to the bag of
+        ``(lefts[r], rights[r])``, whose id from :meth:`slot_ids` is
+        ``slots[r]``.
 
         The racing pool's per-round commit hands its consumed draws here:
         the round pays one list append and marks the slots it writes, and
@@ -783,15 +710,11 @@ class JudgmentCache:
         per row.
 
         Trusted internal path: rows are assumed well-formed (float64
-        matrix, ``counts[r] <= values.shape[1]``).  ``slots`` (from
-        :meth:`slot_ids`) skips the per-row key lookup at drain time;
-        without them every replay drains the queue first.
+        matrix, ``counts[r] <= values.shape[1]``).  The slot ids skip the
+        per-row key lookup at drain time.
         """
         self._pending.append((lefts, rights, values, counts, slots))
-        if slots is None:
-            self._blind = True
-        else:
-            self._queued[slots] = True
+        self._queued[slots] = True
 
     def settle(self) -> None:
         """Fold every deferred batch into the log right now.
@@ -823,18 +746,14 @@ class JudgmentCache:
         """
         pending = self._pending
         self._pending = []
-        self._blind = False
         for batch in pending:
-            if batch[4] is not None:
-                self._queued[batch[4]] = False
+            self._queued[batch[4]] = False
         lefts, rights, values, counts, slots = (
             pending[0] if len(pending) == 1 else _merged(pending)
         )
         used = counts.nonzero()[0]
         if not used.size:
             return _NO_SLOTS
-        if slots is None:
-            slots = np.full(counts.size, -1, dtype=np.int64)
         if used.size < counts.size:  # rows that consumed nothing store nothing
             lefts, rights, values = lefts[used], rights[used], values[used]
             counts, slots = counts[used], slots[used]
@@ -979,7 +898,6 @@ class JudgmentCache:
         they would have been stored and then dropped, so cancelling them
         is equivalent).  Slot ids stay valid and map to empty bags."""
         self._pending.clear()
-        self._blind = False
         self._queued[:] = False
         self._n[:] = 0
         self._reset_frontier(slice(None))

@@ -34,7 +34,6 @@ __all__ = [
     "odd_even_sort",
     "merge_sort",
     "insertion_sort",
-    "bubble_sort_to_median",
     "median_of_multiset",
 ]
 
@@ -260,28 +259,3 @@ def insertion_sort(
         if not placed:
             result.insert(0, item)
     return result
-
-
-def bubble_sort_to_median(session: "CrowdSession", ids: list[int]) -> int:
-    """The median item of ``ids`` via the partial bubble sort of Appendix C.
-
-    Pass ``i`` sinks the ``i``-th best item into position ``i-1``; after
-    ``⌈m/2⌉`` passes the (upper) median sits at position ``⌈m/2⌉ - 1``.
-    Duplicate ids (one item winning several sampling procedures) are kept —
-    they are genuine votes for that item — and comparisons between two
-    copies of the same item are skipped as order-preserving.
-    """
-    order = [int(i) for i in ids]
-    if not order:
-        raise AlgorithmError("median of an empty list is undefined")
-    m = len(order)
-    passes = (m + 1) // 2
-    for sunk in range(passes):
-        for pos in range(m - 1, sunk, -1):
-            a, b = order[pos - 1], order[pos]
-            if a == b:
-                continue
-            rec = session.compare(b, a)
-            if rec.outcome is Outcome.LEFT:
-                order[pos - 1], order[pos] = order[pos], order[pos - 1]
-    return order[passes - 1]

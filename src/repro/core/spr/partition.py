@@ -54,11 +54,6 @@ class PartitionResult:
     cost: int
     rounds: int
 
-    @property
-    def reference_in_winners(self) -> bool:
-        """Whether Line 13 added the final reference back into winners."""
-        return self.reference in self.winners
-
 
 def _kth_best_winner(
     session: "CrowdSession",

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from ...stats.thurstone import win_probability
 from ..sorting import odd_even_sort
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...crowd.session import CrowdSession
 
-__all__ = ["thurstone_order", "pairwise_win_probability", "reference_sort"]
+__all__ = ["thurstone_order", "reference_sort"]
 
 
 def thurstone_order(
@@ -27,9 +26,10 @@ def thurstone_order(
 ) -> list[int]:
     """Order candidates by their observed means against ``reference``.
 
-    This is the ranking induced by pairwise Thurstone win probabilities:
-    ``win_probability`` is monotone in the mean difference, so sorting by
-    means realizes it without further microtasks.  Candidates without a
+    This is the ranking induced by pairwise Thurstone win probabilities
+    (:func:`repro.stats.thurstone.win_probability`): they are monotone in
+    the mean difference, so sorting by means realizes them without further
+    microtasks.  Candidates without a
     bag against the reference (recursion results, randomly promoted ties)
     sort as if neutral (mean 0); the reference itself is neutral by
     definition.
@@ -45,34 +45,6 @@ def thurstone_order(
     return sorted(
         (int(i) for i in candidate_ids), key=lambda item: -observed_mean(item)
     )
-
-
-def pairwise_win_probability(
-    session: "CrowdSession", i: int, j: int, reference: int
-) -> float:
-    """Thurstone ``Pr{o_i ≻ o_j}`` from the two bags against ``reference``.
-
-    Exposed for inspection and for the examples; the sort itself only needs
-    the induced order.  The variance fed to Thurstone's formula is the
-    variance *of the mean* (``S²/n``) of each bag; items without a bag
-    contribute a neutral mean with zero spread, so the probability against
-    them reduces to a mean-sign comparison.
-    """
-    reference = int(reference)
-
-    def bag_stats(item: int) -> tuple[float, float]:
-        if int(item) == reference:
-            return 0.0, 0.0
-        n, mean, var = session.moments(int(item), reference)
-        if n == 0 or not math.isfinite(mean):
-            return 0.0, 0.0
-        if n < 2 or not math.isfinite(var):
-            return mean, 0.0
-        return mean, var / n
-
-    mean_i, var_i = bag_stats(i)
-    mean_j, var_j = bag_stats(j)
-    return win_probability(mean_i, var_i, mean_j, var_j)
 
 
 def reference_sort(

@@ -1,20 +1,10 @@
-"""Quality metrics for top-k results (§6.2)."""
+"""Quality metrics for top-k results (§6.2): NDCG and precision."""
 
-from .accuracy import comparison_accuracy
 from .ndcg import dcg, ndcg_at_k
-from .ranking import (
-    kendall_tau,
-    spearman_footrule,
-    top_k_precision,
-    top_k_recall,
-)
+from .ranking import top_k_precision
 
 __all__ = [
-    "comparison_accuracy",
     "dcg",
-    "kendall_tau",
     "ndcg_at_k",
-    "spearman_footrule",
     "top_k_precision",
-    "top_k_recall",
 ]

@@ -1,4 +1,4 @@
-"""Set- and order-based ranking metrics."""
+"""Set-based ranking metrics."""
 
 from __future__ import annotations
 
@@ -6,12 +6,7 @@ from collections.abc import Sequence
 
 from ..core.items import ItemSet
 
-__all__ = [
-    "top_k_precision",
-    "top_k_recall",
-    "kendall_tau",
-    "spearman_footrule",
-]
+__all__ = ["top_k_precision"]
 
 
 def top_k_precision(items: ItemSet, returned: Sequence[int], k: int) -> float:
@@ -26,63 +21,3 @@ def top_k_precision(items: ItemSet, returned: Sequence[int], k: int) -> float:
         return 0.0
     truth = set(int(i) for i in items.true_top_k(min(k, len(items))))
     return sum(1 for item in got if item in truth) / len(got)
-
-
-def top_k_recall(items: ItemSet, returned: Sequence[int], k: int) -> float:
-    """Fraction of the true top-k present in the returned list."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    truth = set(int(i) for i in items.true_top_k(min(k, len(items))))
-    got = set(int(item) for item in returned)
-    return len(truth & got) / len(truth)
-
-
-def spearman_footrule(items: ItemSet, returned: Sequence[int]) -> float:
-    """Normalized Spearman footrule disarray of the returned order.
-
-    The measure behind the paper's reference [14] (Diaconis & Graham):
-    the total displacement ``Σ|i − σ(i)|`` between each item's position in
-    the returned list and its position in the ground-truth order *of the
-    returned items*, normalized by the maximum possible disarray.  0.0 is
-    a perfectly ordered list, 1.0 the maximal derangement; lists shorter
-    than 2 score 0.0 by convention.
-    """
-    got = [int(item) for item in returned]
-    if len(got) != len(set(got)):
-        raise ValueError("returned list contains duplicate items")
-    m = len(got)
-    if m < 2:
-        return 0.0
-    ideal = sorted(got, key=lambda item: items.rank_of(item))
-    position_in_ideal = {item: pos for pos, item in enumerate(ideal)}
-    disarray = sum(
-        abs(pos - position_in_ideal[item]) for pos, item in enumerate(got)
-    )
-    maximum = (m * m) // 2 if m % 2 == 0 else (m * m - 1) // 2
-    return disarray / maximum
-
-
-def kendall_tau(items: ItemSet, returned: Sequence[int]) -> float:
-    """Kendall's tau between the returned order and the ground truth.
-
-    Computed over the returned items only (a top-k list orders just its own
-    members).  Returns 1.0 for a perfectly ordered list, -1.0 for the exact
-    reversal; lists of fewer than 2 items score 1.0 by convention.
-    """
-    got = [int(item) for item in returned]
-    if len(got) != len(set(got)):
-        raise ValueError("returned list contains duplicate items")
-    if len(got) < 2:
-        return 1.0
-    ranks = [items.rank_of(item) for item in got]
-    concordant = discordant = 0
-    for a in range(len(ranks)):
-        for b in range(a + 1, len(ranks)):
-            if ranks[a] < ranks[b]:
-                concordant += 1
-            elif ranks[a] > ranks[b]:
-                discordant += 1
-    total = concordant + discordant
-    if total == 0:
-        return 1.0
-    return (concordant - discordant) / total

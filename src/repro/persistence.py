@@ -7,25 +7,26 @@ extends it across processes — a deployment that ran a top-5 query
 yesterday should not re-purchase a single microtask when today's top-10
 query touches the same pairs.
 
-Two formats:
+One format, a compressed numpy archive of the raw bags (lossless and
+compact):
 
-* ``save_cache`` / ``load_cache`` — compressed numpy archive of the raw
-  bags (lossless, compact; the natural operational format).
-* ``cache_to_json`` / ``cache_from_json`` — human-readable interchange for
-  audits and cross-tool exchange.
+* ``save_cache`` / ``load_cache`` — the bags alone.
+* ``save_checkpoint`` / ``load_checkpoint`` — the bags plus a full
+  :class:`~repro.crowd.session.CrowdSession` state document (config, RNG
+  states, ledgers, in-flight query state), so a killed query resumes to
+  the identical result at identical cost.
 
-``save_checkpoint`` / ``load_checkpoint`` extend the archive format with a
-full :class:`~repro.crowd.session.CrowdSession` state document (config, RNG
-states, ledgers, in-flight query state) so a killed query resumes to the
-identical result at identical cost.  Checkpoints are written atomically —
-to a temporary file in the target directory, then ``os.replace``'d into
-place — so a crash mid-write never corrupts the previous checkpoint.
+Both are written atomically — to a temporary file in the target
+directory, then ``os.replace``'d into place — so a crash mid-write never
+corrupts the previous archive, and both readers refuse a file that is not
+such an archive with a :class:`~repro.errors.CrowdTopkError` naming it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -38,45 +39,79 @@ __all__ = [
     "load_cache",
     "save_checkpoint",
     "load_checkpoint",
-    "cache_to_json",
-    "cache_from_json",
 ]
 
 _FORMAT_VERSION = 1
 _CHECKPOINT_VERSION = 1
 
 
-def save_cache(cache: JudgmentCache, path: str | os.PathLike) -> None:
-    """Write all judgment bags to a compressed ``.npz`` archive."""
+def _write_archive(
+    cache: JudgmentCache, path: str | os.PathLike, **documents: np.ndarray
+) -> None:
+    """Atomically write ``cache``'s bags, with ``documents`` beside them.
+
+    The archive is written to a ``.tmp`` sibling in the target directory,
+    flushed to disk and moved into place with :func:`os.replace`, which is
+    atomic on POSIX and Windows — a reader never observes a torn file and
+    a failed write leaves any previous archive intact.
+    """
     path = Path(path)
-    arrays: dict[str, np.ndarray] = {
-        "__meta__": np.asarray([_FORMAT_VERSION], dtype=np.int64)
-    }
-    index = []
-    for number, (a, b) in enumerate(cache.pairs()):
+    arrays = {"__meta__": np.asarray([_FORMAT_VERSION], dtype=np.int64)}
+    arrays.update(documents)
+    pairs = cache.pairs()
+    for number, (a, b) in enumerate(pairs):
         arrays[f"bag_{number}"] = cache.bag(a, b)
-        index.append((a, b))
-    arrays["__pairs__"] = np.asarray(index, dtype=np.int64).reshape(-1, 2)
-    with open(path, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
+    arrays["__pairs__"] = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():  # a failed write leaves no debris
+            tmp.unlink()
+
+
+def _read_archive(
+    path: str | os.PathLike, kind: str, head: str
+) -> tuple[np.ndarray, JudgmentCache]:
+    """The ``head`` entry of the archive at ``path`` and the cache its bags
+    hold.  Anything but a complete archive of this format raises
+    :class:`CrowdTopkError` naming ``path`` (a missing file stays an
+    :class:`OSError`)."""
+    path = Path(path)
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            if not {"__meta__", head, "__pairs__"} <= set(archive.files):
+                raise CrowdTopkError(f"{path} is not a crowd-topk {kind} archive")
+            version = int(archive["__meta__"][0])
+            if version != _FORMAT_VERSION:
+                raise CrowdTopkError(
+                    f"{path}: archive version {version} is not supported "
+                    f"(expected {_FORMAT_VERSION})"
+                )
+            entry = archive[head]
+            cache = JudgmentCache()
+            for number, (a, b) in enumerate(archive["__pairs__"].tolist()):
+                cache.append(a, b, archive[f"bag_{number}"])
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise CrowdTopkError(
+            f"{path} is not a readable crowd-topk {kind} archive: {exc}"
+        ) from None
+    return entry, cache
+
+
+def save_cache(cache: JudgmentCache, path: str | os.PathLike) -> None:
+    """Atomically write all judgment bags to a compressed ``.npz`` archive."""
+    _write_archive(cache, path)
 
 
 def load_cache(path: str | os.PathLike) -> JudgmentCache:
-    """Read a judgment cache written by :func:`save_cache`."""
-    path = Path(path)
-    with np.load(path) as archive:
-        if "__meta__" not in archive or "__pairs__" not in archive:
-            raise CrowdTopkError(f"{path} is not a crowd-topk cache archive")
-        version = int(archive["__meta__"][0])
-        if version != _FORMAT_VERSION:
-            raise CrowdTopkError(
-                f"cache archive version {version} is not supported "
-                f"(expected {_FORMAT_VERSION})"
-            )
-        cache = JudgmentCache()
-        pairs = archive["__pairs__"]
-        for number, (a, b) in enumerate(pairs):
-            cache.append(int(a), int(b), archive[f"bag_{number}"])
+    """Read a judgment cache written by :func:`save_cache` (or the bags of
+    a :func:`save_checkpoint` archive)."""
+    _, cache = _read_archive(path, "cache", "__meta__")
     return cache
 
 
@@ -91,34 +126,9 @@ def save_checkpoint(
     float).  The judgment bags ride alongside as raw numpy arrays — the
     same layout as :func:`save_cache` — so the bulk data never passes
     through JSON.
-
-    Atomicity: the archive is written to a ``.tmp`` sibling in the target
-    directory and moved into place with :func:`os.replace`, which is
-    atomic on POSIX and Windows — a reader never observes a torn file and
-    a crash mid-write leaves any previous checkpoint intact.
     """
-    path = Path(path)
-    arrays: dict[str, np.ndarray] = {
-        "__meta__": np.asarray([_FORMAT_VERSION], dtype=np.int64),
-        "__checkpoint__": np.asarray(
-            [json.dumps({"version": _CHECKPOINT_VERSION, **state})]
-        ),
-    }
-    index = []
-    for number, (a, b) in enumerate(cache.pairs()):
-        arrays[f"bag_{number}"] = cache.bag(a, b)
-        index.append((a, b))
-    arrays["__pairs__"] = np.asarray(index, dtype=np.int64).reshape(-1, 2)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # a failed write leaves no debris
-            tmp.unlink()
+    document = json.dumps({"version": _CHECKPOINT_VERSION, **state})
+    _write_archive(cache, path, __checkpoint__=np.asarray([document]))
 
 
 def load_checkpoint(path: str | os.PathLike) -> tuple[dict, JudgmentCache]:
@@ -127,58 +137,12 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[dict, JudgmentCache]:
     Returns ``(state, cache)`` — the JSON state document (without the
     version key) and the revived judgment cache.
     """
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        if "__checkpoint__" not in archive or "__pairs__" not in archive:
-            raise CrowdTopkError(f"{path} is not a crowd-topk checkpoint archive")
-        document = json.loads(str(archive["__checkpoint__"][0]))
-        version = document.pop("version", None)
-        if version != _CHECKPOINT_VERSION:
-            raise CrowdTopkError(
-                f"checkpoint version {version} is not supported "
-                f"(expected {_CHECKPOINT_VERSION})"
-            )
-        cache = JudgmentCache()
-        pairs = archive["__pairs__"]
-        for number, (a, b) in enumerate(pairs):
-            cache.append(int(a), int(b), archive[f"bag_{number}"])
-    return document, cache
-
-
-def cache_to_json(cache: JudgmentCache) -> str:
-    """Serialize all judgment bags as a JSON document."""
-    payload = {
-        "format": "crowd-topk-cache",
-        "version": _FORMAT_VERSION,
-        "pairs": [
-            {
-                "left": a,
-                "right": b,
-                "judgments": cache.bag(a, b).tolist(),
-            }
-            for a, b in cache.pairs()
-        ],
-    }
-    return json.dumps(payload)
-
-
-def cache_from_json(document: str) -> JudgmentCache:
-    """Deserialize a cache produced by :func:`cache_to_json`."""
-    try:
-        payload = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise CrowdTopkError(f"invalid cache JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != "crowd-topk-cache":
-        raise CrowdTopkError("document is not a crowd-topk cache")
-    if payload.get("version") != _FORMAT_VERSION:
+    entry, cache = _read_archive(path, "checkpoint", "__checkpoint__")
+    document = json.loads(str(entry[0]))
+    version = document.pop("version", None)
+    if version != _CHECKPOINT_VERSION:
         raise CrowdTopkError(
-            f"cache version {payload.get('version')} is not supported"
+            f"{path}: checkpoint version {version} is not supported "
+            f"(expected {_CHECKPOINT_VERSION})"
         )
-    cache = JudgmentCache()
-    for entry in payload.get("pairs", []):
-        cache.append(
-            int(entry["left"]),
-            int(entry["right"]),
-            np.asarray(entry["judgments"], dtype=np.float64),
-        )
-    return cache
+    return document, cache

@@ -113,10 +113,6 @@ class TenantCache(JudgmentCache):
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def count(self, i: int, j: int) -> int:
-        with self._lock:
-            return super().count(i, j)
-
     def bag(self, i: int, j: int) -> np.ndarray:
         with self._lock:
             values = super().bag(i, j)
@@ -125,18 +121,7 @@ class TenantCache(JudgmentCache):
             self._record_reads(int(values.size > 0), int(values.size == 0))
             return values
 
-    def bags_for(self, lefts: np.ndarray, rights: np.ndarray) -> list[np.ndarray]:
-        with self._lock:
-            out = super().bags_for(lefts, rights)
-            self._record_bulk_reads(
-                self._find_slots(np.asarray(lefts), np.asarray(rights)),
-                np.asarray([values.size for values in out], dtype=np.int64),
-            )
-            return out
-
-    def replay(
-        self, lefts, rights, limit, key, decide, *, slots=None
-    ) -> Replay | None:
+    def replay(self, lefts, rights, limit, key, decide, *, slots) -> Replay | None:
         # Read, scan and frontier write-back under one hold of the lock,
         # so no eviction can empty a bag between its scan and write-back.
         with self._lock:
@@ -147,15 +132,13 @@ class TenantCache(JudgmentCache):
                 self._drain()
             lefts = np.asarray(lefts)
             rights = np.asarray(rights)
-            slots = self._read_slots(lefts, rights, slots)
-            self._record_bulk_reads(slots, self._sizes(slots))
+            slots = self._checked_slots(lefts, rights, slots, create=False)
+            lengths = self._sizes(slots)
+            hit = slots[lengths > 0]
+            for slot in hit.tolist():
+                self._shared._touch(self, slot)
+            self._record_reads(hit.size, lengths.size - hit.size)
             return self._replay(slots, lefts > rights, limit, key, decide)
-
-    def _record_bulk_reads(self, slots: np.ndarray, lengths: np.ndarray) -> None:
-        hit = slots[lengths > 0]
-        for slot in hit.tolist():
-            self._shared._touch(self, slot)
-        self._record_reads(hit.size, lengths.size - hit.size)
 
     def moments(self, i: int, j: int) -> tuple[int, float, float]:
         with self._lock:
@@ -198,11 +181,7 @@ class TenantCache(JudgmentCache):
             if slot is not None and self._n[slot]:
                 self._shared._account(self, [slot])
 
-    def append_rows(self, lefts, rights, values, counts) -> None:
-        with self._lock:
-            super().append_rows(lefts, rights, values, counts)
-
-    def defer_rows(self, lefts, rights, values, counts, *, slots=None) -> None:
+    def defer_rows(self, lefts, rights, values, counts, *, slots) -> None:
         with self._lock:
             super().defer_rows(lefts, rights, values, counts, slots=slots)
 

@@ -6,6 +6,19 @@ import pytest
 from repro.core.cache import JudgmentCache
 
 
+def _defer(cache, lefts, rights, values, counts):
+    """Queue a padded batch under its pairs' slot ids, as a racing round
+    does."""
+    slots = cache.slot_ids(lefts, rights)
+    cache.defer_rows(lefts, rights, values, counts, slots=slots)
+
+
+def _fold_rows(cache, lefts, rights, values, counts):
+    """Store a padded batch at once: queued, then folded."""
+    _defer(cache, lefts, rights, values, counts)
+    cache.settle()
+
+
 class TestSymmetry:
     def test_bag_flips_sign_with_orientation(self):
         cache = JudgmentCache()
@@ -18,7 +31,7 @@ class TestSymmetry:
         cache.append(3, 7, np.array([1.0]))
         cache.append(7, 3, np.array([2.0]))
         assert cache.bag(3, 7).tolist() == [1.0, -2.0]
-        assert cache.count(7, 3) == 2
+        assert len(cache.bag(7, 3)) == 2
 
     def test_self_pair_rejected(self):
         cache = JudgmentCache()
@@ -32,7 +45,6 @@ class TestStorage:
     def test_empty_bag(self):
         cache = JudgmentCache()
         assert cache.bag(0, 1).size == 0
-        assert cache.count(0, 1) == 0
 
     def test_append_empty_is_noop(self):
         cache = JudgmentCache()
@@ -47,7 +59,7 @@ class TestStorage:
             cache.append(0, 1, chunk)
         expected = np.concatenate(chunks)
         assert np.allclose(cache.bag(0, 1), expected)
-        assert cache.count(0, 1) == 17 * 20
+        assert len(cache.bag(0, 1)) == 17 * 20
 
     def test_totals(self):
         cache = JudgmentCache()
@@ -97,12 +109,12 @@ class TestMoments:
 
 
 class TestBatchedAppend:
-    """``append_rows`` must equal per-row ``append`` bit for bit — buffers,
+    """A folded batch must equal per-row ``append`` bit for bit — buffers,
     running moments (Σv, Σv²) and totals, across orientations and growth."""
 
     def _equivalent(self, lefts, rights, values, counts):
         batched, sequential = JudgmentCache(), JudgmentCache()
-        batched.append_rows(lefts, rights, values, counts)
+        _fold_rows(batched, lefts, rights, values, counts)
         for row, count in enumerate(counts.tolist()):
             sequential.append(
                 int(lefts[row]), int(rights[row]), values[row, :count]
@@ -140,7 +152,7 @@ class TestBatchedAppend:
             counts = np.array([40, 37], dtype=np.int64)
             lefts = np.array([0, 1], dtype=np.int64)
             rights = np.array([1, 0], dtype=np.int64)
-            cache.append_rows(lefts, rights, values, counts)
+            _fold_rows(cache, lefts, rights, values, counts)
             reference.append(0, 1, values[0])
             reference.append(1, 0, values[1, :37])
         assert cache.bag(0, 1).tobytes() == reference.bag(0, 1).tobytes()
@@ -148,7 +160,8 @@ class TestBatchedAppend:
 
     def test_all_zero_counts_is_noop(self):
         cache = JudgmentCache()
-        cache.append_rows(
+        _fold_rows(
+            cache,
             np.array([0, 1], dtype=np.int64),
             np.array([1, 2], dtype=np.int64),
             np.zeros((2, 4)),
@@ -159,7 +172,8 @@ class TestBatchedAppend:
 
     def test_self_pair_rejected(self):
         with pytest.raises(ValueError):
-            JudgmentCache().append_rows(
+            _fold_rows(
+                JudgmentCache(),
                 np.array([3], dtype=np.int64),
                 np.array([3], dtype=np.int64),
                 np.ones((1, 2)),
@@ -168,7 +182,8 @@ class TestBatchedAppend:
 
     def test_empty_batch_is_noop(self):
         cache = JudgmentCache()
-        cache.append_rows(
+        _fold_rows(
+            cache,
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             np.empty((0, 4)),
@@ -208,27 +223,17 @@ class TestDeferredRows:
         deferred, eager = JudgmentCache(), JudgmentCache()
         for _ in range(7):
             batch = self._batch(rng)
-            deferred.defer_rows(*batch)
-            eager.append_rows(*batch)
+            _defer(deferred, *batch)
+            _fold_rows(eager, *batch)
         _assert_same_cache(deferred, eager)
 
     def test_reads_drain_pending(self):
         reads = {
             "bag": (lambda c: c.bag(0, 1).tolist(), [1.0, 2.0]),
-            "count": (lambda c: c.count(0, 1), 2),
             "moments": (lambda c: c.moments(0, 1)[:2], (2, 1.5)),
             "total_samples": (lambda c: c.total_samples, 2),
             "pair_count": (lambda c: c.pair_count, 1),
             "pairs": (lambda c: c.pairs(), [(0, 1)]),
-            "bags_for": (
-                lambda c: [
-                    bag.tolist()
-                    for bag in c.bags_for(
-                        np.array([1], dtype=np.int64), np.array([0], dtype=np.int64)
-                    )
-                ],
-                [[-1.0, -2.0]],
-            ),
             "replay": (
                 lambda c: c.replay(
                     np.array([0], dtype=np.int64),
@@ -236,13 +241,15 @@ class TestDeferredRows:
                     1,
                     "never",
                     lambda n, *_: np.zeros(n.shape, dtype=np.int8),
+                    slots=c.slot_ids(np.array([0]), np.array([1])),
                 ).s1.tolist(),
                 [1.0],
             ),
         }
         for name, (read, expected) in reads.items():
             cache = JudgmentCache()
-            cache.defer_rows(
+            _defer(
+                cache,
                 np.array([0], dtype=np.int64),
                 np.array([1], dtype=np.int64),
                 np.array([[1.0, 2.0]]),
@@ -252,7 +259,8 @@ class TestDeferredRows:
 
     def test_writes_drain_first_preserving_order(self, rng):
         deferred, eager = JudgmentCache(), JudgmentCache()
-        deferred.defer_rows(
+        _defer(
+            deferred,
             np.array([0], dtype=np.int64),
             np.array([1], dtype=np.int64),
             np.array([[1.0, 2.0, 3.0]]),
@@ -267,14 +275,15 @@ class TestDeferredRows:
         by_slot, by_key = JudgmentCache(), JudgmentCache()
         for _ in range(5):
             lefts, rights, values, counts = self._batch(rng)
-            slots = by_slot.slot_ids(lefts, rights)
-            by_slot.defer_rows(lefts, rights, values, counts, slots=slots)
-            by_key.defer_rows(lefts, rights, values, counts)
+            _defer(by_slot, lefts, rights, values, counts)
+            for row, count in enumerate(counts.tolist()):
+                by_key.append(int(lefts[row]), int(rights[row]), values[row, :count])
         _assert_same_cache(by_slot, by_key)
 
     def test_clear_cancels_pending(self):
         cache = JudgmentCache()
-        cache.defer_rows(
+        _defer(
+            cache,
             np.array([0], dtype=np.int64),
             np.array([1], dtype=np.int64),
             np.array([[1.0]]),
@@ -288,15 +297,3 @@ class TestDeferredRows:
         cache = JudgmentCache()
         cache.settle()
         assert cache.total_samples == 0
-
-
-class TestBulkBags:
-    def test_bags_for_matches_bag(self, rng):
-        cache = JudgmentCache()
-        cache.append(0, 1, np.array([1.0, -2.0]))
-        cache.append(2, 3, np.array([0.5]))
-        lefts = np.array([0, 1, 2, 4], dtype=np.int64)
-        rights = np.array([1, 0, 3, 5], dtype=np.int64)
-        bulk = cache.bags_for(lefts, rights)
-        for got, (i, j) in zip(bulk, zip(lefts, rights)):
-            assert got.tolist() == cache.bag(int(i), int(j)).tolist()

@@ -6,6 +6,8 @@ import pytest
 
 from repro.algorithms import ALGORITHMS, RESUMERS
 from repro.cli import _spec_from_args, build_parser, main
+from repro.core.cache import JudgmentCache
+from repro.persistence import save_cache
 from repro.service import QueryService, execute_spec, run_query, session_for
 from repro.telemetry import MetricsRegistry, ObservatoryServer
 from repro.telemetry import server as server_module
@@ -102,6 +104,20 @@ class TestResume:
         err = capsys.readouterr().err
         named = {m for m in ALGORITHMS if re.search(rf"\b{m}\b", err)}
         assert named == set(RESUMERS)
+
+    def test_a_cache_archive_is_refused_as_a_checkpoint(self, tmp_path, capsys):
+        path = tmp_path / "bags.npz"
+        cache = JudgmentCache()
+        cache.append(0, 1, [1.0, -0.5])
+        save_cache(cache, path)
+        code = main([
+            "query", "--dataset", "jester", "--n-items", "20",
+            "--checkpoint", str(path), "--resume",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot resume from {path}: ")
+        assert "not a crowd-topk checkpoint archive" in err
 
     @pytest.mark.parametrize("method", sorted(RESUMERS))
     def test_resume_prints_what_the_uninterrupted_query_prints(

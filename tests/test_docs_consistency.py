@@ -1,5 +1,6 @@
 """Documentation ↔ code consistency: the docs must not rot."""
 
+import importlib
 import pathlib
 import re
 
@@ -10,6 +11,23 @@ ROOT = pathlib.Path(__file__).parent.parent
 
 def read(name: str) -> str:
     return (ROOT / name).read_text()
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``repro.a.b.c`` names something: the longest importable
+    module prefix, then ``getattr`` for the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
 
 
 class TestDeliverablesPresent:
@@ -58,6 +76,23 @@ class TestDesignIndex:
             for module in sorted(set(re.findall(r"`(repro/[\w/]+\.py)`", read(page))))
             if not (ROOT / "src" / module).exists()
         ]
+        assert not missing, missing
+
+    def test_dotted_names_in_docs_resolve(self):
+        # A backticked `repro.module.name` (or `repro.module.name(...)`)
+        # in the README, DESIGN or the docs must still import.
+        pages = ["README.md", "DESIGN.md"] + sorted(
+            str(path.relative_to(ROOT)) for path in (ROOT / "docs").glob("*.md")
+        )
+        named = [
+            (page, dotted)
+            for page in pages
+            for dotted in sorted(
+                set(re.findall(r"`(repro(?:\.\w+)+)(?:\([^`]*\))?`", read(page)))
+            )
+        ]
+        assert named, "the docs name no repro.* objects"
+        missing = [f"{page}: {dotted}" for page, dotted in named if not _resolves(dotted)]
         assert not missing, missing
 
     def test_scripts_named_in_docs_exist(self):
@@ -177,27 +212,7 @@ class TestMetricCatalog:
 
 class TestPaperMapping:
     def test_mapped_modules_exist(self):
+        # Its dotted names are checked with every doc page's, above.
         mapping = read("docs/paper_mapping.md")
         for module in set(re.findall(r"`(repro/[\w/]+\.py)`", mapping)):
             assert (ROOT / "src" / module).exists(), module
-        for dotted in set(re.findall(r"`(repro\.[\w.]+)`", mapping)):
-            parts = dotted.split(".")
-            # resolve progressively: module path or attribute of a module
-            import importlib
-
-            for cut in range(len(parts), 0, -1):
-                try:
-                    module = importlib.import_module(".".join(parts[:cut]))
-                except ModuleNotFoundError:
-                    continue
-                obj = module
-                ok = True
-                for attr in parts[cut:]:
-                    if not hasattr(obj, attr):
-                        ok = False
-                        break
-                    obj = getattr(obj, attr)
-                assert ok, dotted
-                break
-            else:
-                pytest.fail(f"unresolvable reference {dotted}")

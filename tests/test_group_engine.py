@@ -51,7 +51,7 @@ class TestRacingInvariants:
         for record in records:
             # Fresh pairs: the cache holds exactly the consumed draws.
             assert record.cost == record.workload
-            assert session.cache.count(record.left, record.right) == record.workload
+            assert len(session.cache.bag(record.left, record.right)) == record.workload
             n, mean, var = session.moments(record.left, record.right)
             assert n == record.workload
             assert record.mean == pytest.approx(mean)

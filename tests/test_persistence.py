@@ -1,16 +1,15 @@
 """Judgment-cache persistence across processes."""
 
+import io
+import json
+import re
+
 import numpy as np
 import pytest
 
 from repro.core.cache import JudgmentCache
 from repro.errors import CrowdTopkError
-from repro.persistence import (
-    cache_from_json,
-    cache_to_json,
-    load_cache,
-    save_cache,
-)
+from repro.persistence import load_cache, load_checkpoint, save_cache
 from tests.conftest import make_latent_session
 
 
@@ -22,15 +21,19 @@ def _populated_cache(rng) -> JudgmentCache:
     return cache
 
 
+def _assert_same_bags(got: JudgmentCache, want: JudgmentCache) -> None:
+    assert got.pairs() == want.pairs()
+    for a, b in want.pairs():
+        assert got.bag(a, b).tobytes() == want.bag(a, b).tobytes()
+
+
 class TestNpzRoundTrip:
     def test_round_trip_is_lossless(self, rng, tmp_path):
         cache = _populated_cache(rng)
         path = tmp_path / "bags.npz"
         save_cache(cache, path)
         loaded = load_cache(path)
-        assert sorted(loaded.pairs()) == sorted(cache.pairs())
-        for a, b in cache.pairs():
-            assert np.array_equal(loaded.bag(a, b), cache.bag(a, b))
+        _assert_same_bags(loaded, cache)
         assert loaded.total_samples == cache.total_samples
 
     def test_empty_cache_round_trip(self, tmp_path):
@@ -44,25 +47,68 @@ class TestNpzRoundTrip:
         with pytest.raises(CrowdTopkError):
             load_cache(path)
 
+    def test_rejects_wrong_version(self, tmp_path):
+        path = tmp_path / "future.npz"
+        np.savez(
+            path,
+            __meta__=np.asarray([99]),
+            __pairs__=np.empty((0, 2), dtype=np.int64),
+        )
+        with pytest.raises(CrowdTopkError, match="version 99 is not supported"):
+            load_cache(path)
 
-class TestJsonRoundTrip:
-    def test_round_trip_is_lossless(self, rng):
+    def test_a_failed_save_keeps_the_previous_archive(
+        self, rng, tmp_path, monkeypatch
+    ):
         cache = _populated_cache(rng)
-        loaded = cache_from_json(cache_to_json(cache))
-        for a, b in cache.pairs():
-            assert np.allclose(loaded.bag(a, b), cache.bag(a, b))
+        path = tmp_path / "bags.npz"
+        save_cache(cache, path)
 
-    def test_rejects_invalid_json(self):
-        with pytest.raises(CrowdTopkError):
-            cache_from_json("{not json")
+        def fail(*args, **kwargs):
+            raise OSError("no space left on device")
 
-    def test_rejects_wrong_format(self):
-        with pytest.raises(CrowdTopkError):
-            cache_from_json('{"format": "something-else"}')
+        monkeypatch.setattr(np, "savez_compressed", fail)
+        with pytest.raises(OSError):
+            save_cache(JudgmentCache(), path)
+        monkeypatch.undo()
+        _assert_same_bags(load_cache(path), cache)
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
-    def test_rejects_wrong_version(self):
-        with pytest.raises(CrowdTopkError):
-            cache_from_json('{"format": "crowd-topk-cache", "version": 99}')
+
+def _torn(data: bytes) -> bytes:
+    """An archive whose index names a bag it does not hold."""
+    out = io.BytesIO()
+    np.savez(
+        out,
+        __meta__=np.asarray([1]),
+        __checkpoint__=np.asarray([json.dumps({"version": 1})]),
+        __pairs__=np.asarray([[0, 1]]),
+    )
+    return out.getvalue()
+
+
+#: Ways to damage a saved archive's bytes.
+_DAMAGE = {
+    "garbage": lambda data: b"not an archive",
+    "truncated": lambda data: data[: len(data) // 2],
+    "missing-bag": _torn,
+}
+
+
+class TestMalformedArchives:
+    """Both readers refuse what is not a complete archive with a
+    :class:`CrowdTopkError` that names the file."""
+
+    @pytest.mark.parametrize("load", [load_cache, load_checkpoint])
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
+    def test_a_damaged_file_is_refused_naming_the_file(
+        self, rng, tmp_path, load, damage
+    ):
+        path = tmp_path / "damaged.npz"
+        save_cache(_populated_cache(rng), path)
+        path.write_bytes(_DAMAGE[damage](path.read_bytes()))
+        with pytest.raises(CrowdTopkError, match=re.escape(str(path))):
+            load(path)
 
 
 class TestOperationalReuse:

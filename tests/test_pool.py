@@ -78,7 +78,7 @@ class TestCacheIntegration:
         session = make_latent_session([0.0, 3.0], sigma=0.5)
         pool = RacingPool(session, [(1, 0)])
         pool.run_to_completion()
-        assert session.cache.count(1, 0) == int(pool.n[0])
+        assert len(session.cache.bag(1, 0)) == int(pool.n[0])
 
     def test_replay_decides_without_cost(self):
         session = make_latent_session([0.0, 3.0], sigma=0.5)

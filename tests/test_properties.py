@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.cache import JudgmentCache
 from repro.core.estimators import HoeffdingTester, SteinTester, StudentTester
 from repro.core.items import ItemSet
-from repro.metrics import kendall_tau, ndcg_at_k, top_k_precision
+from repro.metrics import ndcg_at_k, top_k_precision
 from repro.stats.median_cost import bubble_median_comparisons
 from repro.stats.reference import hit_probability, median_in_sweet_spot_probability
 from repro.stats.thurstone import win_probability
@@ -187,9 +187,3 @@ class TestMetricProperties:
     def test_precision_bounded(self, data):
         items, returned, k = data
         assert 0.0 <= top_k_precision(items, returned, k) <= 1.0
-
-    @given(data=items_and_list())
-    @settings(max_examples=80, deadline=None)
-    def test_kendall_tau_bounded(self, data):
-        items, returned, _ = data
-        assert -1.0 <= kendall_tau(items, returned) <= 1.0

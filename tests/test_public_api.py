@@ -66,8 +66,6 @@ PUBLIC_API = [
     "UserTableOracle",
     "__version__",
     "bdp_topk",
-    "cache_from_json",
-    "cache_to_json",
     "crowdbt_topk",
     "default_resilience",
     "explain_query",
@@ -76,7 +74,6 @@ PUBLIC_API = [
     "hybrid_spr_topk",
     "hybrid_topk",
     "infimum_estimate",
-    "kendall_tau",
     "load_cache",
     "load_checkpoint",
     "load_dataset",
@@ -100,7 +97,6 @@ PUBLIC_API = [
     "spr_topk",
     "stopping_from_document",
     "top_k_precision",
-    "top_k_recall",
     "tournament_topk",
     "use_registry",
 ]
@@ -172,6 +168,36 @@ class TestPublicApiSnapshot:
         assert not hasattr(repro, "run_golden_suite")
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.validation.golden")
+
+    def test_test_only_doors_are_gone(self):
+        # Doors that only tests reached are deleted, not kept beside the
+        # ones the library uses: the JSON cache format (the npz archive
+        # stays), the metrics the paper does not report (§6.2 uses NDCG
+        # and precision), the pairwise Thurstone probability and bubble
+        # median, and the cache's bulk doors that take no slot ids.
+        from repro.core.cache import JudgmentCache
+        from repro.core.spr.partition import PartitionResult
+        from repro.service.cache import TenantCache
+
+        gone = {
+            "repro": ("cache_from_json", "cache_to_json", "kendall_tau", "top_k_recall"),
+            "repro.persistence": ("cache_from_json", "cache_to_json"),
+            "repro.metrics": (
+                "comparison_accuracy", "kendall_tau", "spearman_footrule", "top_k_recall",
+            ),
+            "repro.core.spr.rank": ("pairwise_win_probability",),
+            "repro.core.sorting": ("bubble_sort_to_median",),
+        }
+        for module_name, names in gone.items():
+            module = importlib.import_module(module_name)
+            for name in names:
+                assert not hasattr(module, name), f"{module_name}.{name}"
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.metrics.accuracy")
+        for cls in (JudgmentCache, TenantCache):
+            for name in ("append_rows", "bags_for", "count"):
+                assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+        assert not hasattr(PartitionResult, "reference_in_winners")
 
     def test_service_surface_is_public(self):
         # The multi-tenant service front door: the declarative spec, the

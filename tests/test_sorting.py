@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.sorting import (
-    bubble_sort_to_median,
     crowd_max_many,
     median_of_multiset,
     odd_even_sort,
@@ -99,36 +98,34 @@ class TestOddEvenSort:
 
 
 class TestMedianSelection:
-    def test_bubble_median_odd(self):
+    def test_multiset_median_odd(self):
         session = _clean_session([0.0, 2.0, 4.0, 6.0, 8.0])
         # Ranked best-first: 4,3,2,1,0 → median is item 2.
-        assert bubble_sort_to_median(session, [0, 1, 2, 3, 4]) == 2
+        assert median_of_multiset(session, [0, 1, 2, 3, 4]) == 2
 
-    def test_bubble_median_single(self):
+    def test_multiset_median_single(self):
         session = _clean_session([1.0, 2.0])
-        assert bubble_sort_to_median(session, [1]) == 1
+        assert median_of_multiset(session, [1]) == 1
 
-    def test_bubble_median_handles_duplicates(self):
+    def test_multiset_median_handles_duplicates(self):
         session = _clean_session([0.0, 5.0, 10.0])
         # Multiset {2, 2, 1}: upper median is 2.
-        assert bubble_sort_to_median(session, [2, 2, 1]) == 2
+        assert median_of_multiset(session, [2, 2, 1]) == 2
 
-    def test_bubble_median_empty_rejected(self):
+    def test_multiset_median_empty_rejected(self):
         session = _clean_session([1.0])
         with pytest.raises(AlgorithmError):
-            bubble_sort_to_median(session, [])
+            median_of_multiset(session, [])
 
     def test_multiset_median_counts_multiplicity(self):
         session = _clean_session([0.0, 5.0, 10.0])
         # {0, 1, 1, 1, 2}: median (3rd best of 5) is 1.
         assert median_of_multiset(session, [0, 1, 1, 1, 2]) == 1
 
-    def test_multiset_median_agrees_with_bubble(self):
+    def test_multiset_median_is_the_true_median(self):
         scores = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
         ids = [3, 0, 6, 1, 5, 2, 4]
-        a = bubble_sort_to_median(_clean_session(scores), ids)
-        b = median_of_multiset(_clean_session(scores), ids)
-        assert a == b
+        assert median_of_multiset(_clean_session(scores), ids) == 3
 
 
 class TestMergeSort:

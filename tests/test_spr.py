@@ -11,8 +11,9 @@ from repro.core.spr import (
     select_reference,
     spr_topk,
 )
-from repro.core.spr.rank import pairwise_win_probability, thurstone_order
+from repro.core.spr.rank import thurstone_order
 from repro.errors import AlgorithmError
+from repro.stats.thurstone import win_probability
 from tests.conftest import make_latent_session
 
 # Well-separated 30-item universe: every comparison resolves quickly and
@@ -147,17 +148,19 @@ class TestRank:
         assert ranked == [9, 6, 3, 0]
 
     def test_win_probability_orders_pairs(self):
+        # The Thurstone order is the one the pairwise win probabilities
+        # induce: each candidate beats the next with probability > 1/2.
         session = clean_session()
         partition(session, list(range(30)), 5, reference=20)
-        p_up = pairwise_win_probability(session, 28, 22, 20)
-        p_down = pairwise_win_probability(session, 22, 28, 20)
-        assert p_up > 0.9
-        assert p_up + p_down == pytest.approx(1.0)
+        order = thurstone_order(session, [22, 28, 25], 20)
 
-    def test_win_probability_against_reference_itself(self):
-        session = clean_session()
-        partition(session, list(range(30)), 5, reference=20)
-        assert pairwise_win_probability(session, 28, 20, 20) > 0.5
+        def bag(item):  # mean against the reference and its variance
+            n, mean, var = session.moments(item, 20)
+            return mean, var / n
+
+        assert order == [28, 25, 22]
+        for better, worse in zip(order, order[1:]):
+            assert win_probability(*bag(better), *bag(worse)) > 0.9
 
 
 class TestDriver:

@@ -21,7 +21,7 @@ from repro.crowd.session import CrowdSession
 from repro.crowd.workers import GaussianNoise
 from repro.datasets import load_dataset
 from repro.experiments.params import ExperimentParams
-from repro.metrics.ranking import top_k_recall
+from repro.metrics.ranking import top_k_precision
 from tests.conftest import per_pair_compare_many
 
 pytestmark = pytest.mark.statistical
@@ -58,7 +58,9 @@ class TestRacingTmcParity:
                     config.comparison, seed=np.random.default_rng([seed, 2])
                 )
                 result = spr_topk(session, working.ids.tolist(), params.k, config)
-                recall = top_k_recall(working, result.topk, params.k)
+                # k items came back, so precision is also the recall.
+                assert len(result.topk) == params.k
+                recall = top_k_precision(working, result.topk, params.k)
                 out.append((session.total_cost, recall))
             return np.array(out)
 
