@@ -18,7 +18,6 @@ import math
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import optimize
 
 from ..core.topk import top_k_indices
 from ..crowd.oracle import BinaryOracle
@@ -44,6 +43,10 @@ def fit_btl_scores(
     quasi-Newton family the paper cites (Nocedal & Wright); scores are
     translation-invariant, the regularizer pins the gauge.
     """
+    # No query door fits BTL scores, so only this baseline pays for
+    # loading scipy.optimize.
+    from scipy import optimize
+
     counts = np.asarray(win_counts, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise AlgorithmError("win_counts must be a square matrix")

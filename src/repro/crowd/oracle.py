@@ -207,14 +207,21 @@ class HistogramOracle(JudgmentOracle):
         self._support = support
         ids = sorted(int(i) for i in pmf_by_item)
         self._items = ItemRows(ids)
-        cdf = np.empty((len(ids), len(support)), dtype=np.float64)
-        for row, item in enumerate(ids):
+        pmfs = []
+        for item in ids:
             pmf = np.asarray(pmf_by_item[item], dtype=np.float64)
             if pmf.shape != support.shape:
-                raise OracleError(f"pmf of item {item} does not match the support")
-            if np.any(pmf < 0) or not np.isclose(pmf.sum(), 1.0, atol=1e-8):
-                raise OracleError(f"pmf of item {item} is not a distribution")
-            cdf[row] = np.cumsum(pmf)
+                break
+            pmfs.append(pmf)
+        # One array pass checks every pmf before the first misshapen one;
+        # the first bad item, in id order, names the error.
+        rows = np.array(pmfs).reshape(len(pmfs), len(support))
+        bad = np.any(rows < 0, axis=1) | ~np.isclose(rows.sum(axis=1), 1.0, atol=1e-8)
+        if bad.any():
+            raise OracleError(f"pmf of item {ids[int(np.argmax(bad))]} is not a distribution")
+        if len(pmfs) < len(ids):
+            raise OracleError(f"pmf of item {ids[len(pmfs)]} does not match the support")
+        cdf = np.cumsum(rows, axis=1)
         cdf[:, -1] = 1.0  # guard against round-off at the top
         self._cdf = cdf
         # The sampler's view (see _rating_indices): one row per support

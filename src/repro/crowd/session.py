@@ -22,6 +22,7 @@ from ..config import ComparisonConfig, comparison_config_from_dict
 from ..core.cache import JudgmentCache
 from ..core.comparison import ComparisonRecord, GroupRecords
 from ..core.estimators import SequentialTester, make_tester
+from ..errors import CrowdTopkError
 from ..rng import make_rng
 from ..telemetry import MetricsRegistry, Span, get_registry
 from .faults import FaultInjector
@@ -39,6 +40,18 @@ CompareListener = Callable[["CrowdSession", ComparisonRecord], None]
 #: Raising aborts the spend (the query service uses this for cancellation,
 #: latency SLAs, and fair cross-tenant scheduling).
 SpendGate = Callable[[int], None]
+
+
+def _checkpoint_field(state: dict, path: str | os.PathLike, *keys: str) -> object:
+    """``state[keys[0]][keys[1]]...``, or a :class:`CrowdTopkError` naming
+    ``path`` and the first field the checkpoint's state document lacks."""
+    value: object = state
+    for depth, key in enumerate(keys, start=1):
+        if not isinstance(value, dict) or key not in value:
+            name = ".".join(keys[:depth])
+            raise CrowdTopkError(f"{path}: checkpoint state has no field {name!r}")
+        value = value[key]
+    return value
 
 
 class ProgressSection(UserDict):
@@ -502,24 +515,26 @@ class CrowdSession:
         from ..persistence import load_checkpoint
 
         state, cache = load_checkpoint(path)
-        config = comparison_config_from_dict(state["config"])
+        field = partial(_checkpoint_field, state, path)
+        config = comparison_config_from_dict(field("config"))
         session = cls(
             oracle,
             config,
             seed=None,
-            max_total_cost=state["cost"]["ceiling"],
+            max_total_cost=field("cost", "ceiling"),
             telemetry=telemetry,
         )
-        session.rng.bit_generator.state = state["rng_state"]
+        session.rng.bit_generator.state = field("rng_state")
         injector = (
             session.oracle if isinstance(session.oracle, FaultInjector) else None
         )
-        if injector is not None and state["fault_rng_state"] is not None:
-            injector.fault_rng.bit_generator.state = state["fault_rng_state"]
+        fault_rng_state = field("fault_rng_state")
+        if injector is not None and fault_rng_state is not None:
+            injector.fault_rng.bit_generator.state = fault_rng_state
         session.cache = cache
-        session.cost.microtasks = state["cost"]["microtasks"]
-        session.cost.comparisons = state["cost"]["comparisons"]
-        session.latency.rounds = state["latency"]["rounds"]
+        session.cost.microtasks = field("cost", "microtasks")
+        session.cost.comparisons = field("cost", "comparisons")
+        session.latency.rounds = field("latency", "rounds")
         session.restored_state = state
         session._publish()
         return session

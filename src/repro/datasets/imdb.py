@@ -21,6 +21,7 @@ in the real vote tables.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtr
 
 from ..core.items import ItemSet
 from ..crowd.oracle import HistogramOracle
@@ -37,11 +38,13 @@ _SUPPORT = np.arange(1.0, 11.0)  # the 1..10 star scale
 
 
 def _discretized_normal_pmf(mean: float, std: float, support: np.ndarray) -> np.ndarray:
-    """PMF over ``support`` from binning a normal — the taste model."""
-    edges = np.concatenate(([-np.inf], (support[:-1] + support[1:]) / 2.0, [np.inf]))
-    from scipy.stats import norm
+    """PMF over ``support`` from binning a normal — the taste model.
 
-    cdf = norm.cdf(edges, loc=mean, scale=std)
+    ``ndtr`` of the standardized edges is what ``scipy.stats.norm.cdf(edges,
+    mean, std)`` evaluates, bit for bit.
+    """
+    edges = np.concatenate(([-np.inf], (support[:-1] + support[1:]) / 2.0, [np.inf]))
+    cdf = ndtr((edges - mean) / std)
     pmf = np.diff(cdf)
     return pmf / pmf.sum()
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import betainc
 
 from .median_cost import bubble_median_comparisons
 
@@ -35,6 +35,16 @@ __all__ = [
     "solve_sampling_plan",
     "SamplingPlan",
 ]
+
+
+def _at_least(h: int, m: int, q):
+    """Binomial tail ``P(Bin(m, q) ≥ h) = I_q(h, m − h + 1)``.
+
+    The regularized incomplete beta is what ``scipy.stats.binom.sf(h − 1,
+    m, q)`` evaluates (both call Boost's ``ibeta``), so the two agree bit
+    for bit; ``tests/test_special_parity.py`` holds them to that.
+    """
+    return betainc(h, m - h + 1, q)
 
 
 def hit_probability(n_items: int, top_j: int, x: int) -> float:
@@ -67,8 +77,7 @@ def median_in_sweet_spot_probability(
     p = hit_probability(n_items, k - 1, x)
     q = hit_probability(n_items, int(math.floor(c * k)), x)
     h = (m + 1) // 2
-    # P(Binom(m, q) >= h) - P(Binom(m, p) >= h)
-    return float(_sps.binom.sf(h - 1, m, q) - _sps.binom.sf(h - 1, m, p))
+    return float(_at_least(h, m, q) - _at_least(h, m, p))
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,7 @@ def solve_sampling_plan(
         else:
             q = 1.0 - np.exp(xs * log_miss_sweet)
         h = (m + 1) // 2
-        prob = _sps.binom.sf(h - 1, m, q) - _sps.binom.sf(h - 1, m, p)
+        prob = _at_least(h, m, q) - _at_least(h, m, p)
         idx = int(np.argmax(prob))
         candidate = SamplingPlan(
             x=idx + 1,

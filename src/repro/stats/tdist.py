@@ -2,8 +2,10 @@
 
 Sequential testers consult ``t_{α/2, n-1}`` after *every* sample, so the
 quantile function is on the hottest path of the whole library.  scipy's
-``t.ppf`` costs microseconds per call; we precompute vectors of quantiles per
-``α`` and grow them geometrically, making the common lookup an array index.
+inverse t CDF, ``scipy.special.stdtrit`` (the function ``scipy.stats.t.ppf``
+evaluates, bit for bit), costs microseconds per call; we precompute vectors
+of quantiles per ``α`` and grow them geometrically, making the common lookup
+an array index.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import stdtrit
 
 __all__ = ["t_quantile", "t_quantiles"]
 
@@ -38,7 +40,7 @@ def _table_for(alpha: float, min_df: int) -> np.ndarray:
         if table is None or len(table) <= min_df:
             size = max(_INITIAL_SIZE, 2 * (min_df + 1))
             dfs = np.arange(1, size, dtype=np.float64)
-            values = _sps.t.ppf(1.0 - key / 2.0, dfs)
+            values = stdtrit(dfs, 1.0 - key / 2.0)
             table = np.concatenate(([np.nan], values))
             _CACHE[key] = table
     return table

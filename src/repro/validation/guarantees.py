@@ -56,6 +56,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 from ..algorithms.bdp import bdp_topk
 from ..config import ComparisonConfig, SPRConfig
@@ -119,8 +120,8 @@ def wilson_interval(
 
     Unlike the Wald interval it never collapses to a zero-width interval
     at 0 observed failures, which is exactly the regime guarantee checks
-    live in.  ``confidence`` other than 0.95 falls back to
-    :func:`scipy.stats.norm.ppf` for the critical value.
+    live in.  ``confidence`` other than 0.95 falls back to the normal
+    quantile :func:`scipy.special.ndtri` for the critical value.
     """
     if trials <= 0:
         raise ConfigError(f"trials must be positive, got {trials}")
@@ -131,9 +132,7 @@ def wilson_interval(
     else:
         if not 0.0 < confidence < 1.0:
             raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
-        from scipy.stats import norm
-
-        z = float(norm.ppf(0.5 + confidence / 2.0))
+        z = float(ndtri(0.5 + confidence / 2.0))
     p = failures / trials
     z2n = z * z / trials
     center = p + z2n / 2.0

@@ -7,7 +7,7 @@ import pytest
 from repro.algorithms import ALGORITHMS, RESUMERS
 from repro.cli import _spec_from_args, build_parser, main
 from repro.core.cache import JudgmentCache
-from repro.persistence import save_cache
+from repro.persistence import save_cache, save_checkpoint
 from repro.service import QueryService, execute_spec, run_query, session_for
 from repro.telemetry import MetricsRegistry, ObservatoryServer
 from repro.telemetry import server as server_module
@@ -118,6 +118,27 @@ class TestResume:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot resume from {path}: ")
         assert "not a crowd-topk checkpoint archive" in err
+
+    @pytest.mark.parametrize(
+        "state, missing",
+        [
+            ({"cost": {}}, "'config'"),
+            ({"config": {}, "cost": {}}, "'cost.ceiling'"),
+        ],
+    )
+    def test_an_incomplete_checkpoint_is_refused_naming_the_field(
+        self, state, missing, tmp_path, capsys
+    ):
+        path = tmp_path / "q.ckpt"
+        save_checkpoint(state, JudgmentCache(), path)
+        code = main([
+            "query", "--dataset", "jester", "--n-items", "20",
+            "--checkpoint", str(path), "--resume",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot resume from {path}: {path}: ")
+        assert f"checkpoint state has no field {missing}" in err
 
     @pytest.mark.parametrize("method", sorted(RESUMERS))
     def test_resume_prints_what_the_uninterrupted_query_prints(

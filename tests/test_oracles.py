@@ -137,6 +137,21 @@ class TestHistogramOracle:
         with pytest.raises(OracleError):
             HistogramOracle(support, {0: np.array([0.5, 0.6, 0.2])})  # not a pmf
 
+    @pytest.mark.parametrize(
+        "pmfs, message",
+        [
+            # The first bad item in id order names the error, whatever its fault.
+            ({5: [0.5, 0.5], 2: [-0.1, 0.6, 0.5]}, "item 2 is not a distribution"),
+            ({5: [0.5, 0.6, 0.2], 2: [0.5, 0.5]}, "item 2 does not match the support"),
+            ({1: [1.0, 0.0, 0.0], 3: [np.nan, 0.5, 0.5]}, "item 3 is not a distribution"),
+            ({1: [0.2, 0.2, 0.2], 3: [0.5, 0.6]}, "item 1 is not a distribution"),
+        ],
+    )
+    def test_first_bad_pmf_names_the_error(self, pmfs, message):
+        support = np.arange(1.0, 4.0)
+        with pytest.raises(OracleError, match=message):
+            HistogramOracle(support, {item: np.array(pmf) for item, pmf in pmfs.items()})
+
     def test_validates_support(self):
         with pytest.raises(OracleError):
             HistogramOracle(np.array([1.0]), {0: np.array([1.0])})

@@ -10,8 +10,16 @@ from repro.stats.tdist import t_quantile, t_quantiles
 @pytest.mark.parametrize("alpha", [0.01, 0.02, 0.05, 0.2])
 @pytest.mark.parametrize("df", [1, 2, 5, 29, 100, 5000])
 def test_matches_scipy(alpha, df):
-    expected = sps.t.ppf(1 - alpha / 2, df)
-    assert t_quantile(alpha, df) == pytest.approx(expected, rel=1e-12)
+    # Exact: the table is built with scipy.special.stdtrit, which is what
+    # scipy.stats.t.ppf evaluates, so every entry matches bit for bit.
+    assert t_quantile(alpha, df) == sps.t.ppf(1 - alpha / 2, df)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.02, 0.05, 0.2])
+def test_default_table_matches_scipy(alpha):
+    dfs = np.arange(1, 4096)  # the whole table built on first use
+    expected = sps.t.ppf(1 - alpha / 2, dfs)
+    assert t_quantiles(alpha, 4095)[1:].tobytes() == expected.tobytes()
 
 
 def test_vector_view_is_consistent_with_scalar():
