@@ -123,16 +123,24 @@ def _sym_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return betainc(np.maximum(a, b), np.minimum(a, b), 0.5)
 
 
+#: Smallest Gamma shape :func:`moment_match` leaves: the square root of
+#: the smallest normal float, so the scorer's products of two shapes stay
+#: positive.  A long losing streak against weak winners shrinks a shape
+#: geometrically, and without the floor it underflows to 0.0, where
+#: ``A_i / (A_i + A_j)`` is NaN for two such items.
+SHAPE_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
 def moment_match(winner_shape: float, loser_shape: float) -> tuple[float, float]:
     """Posterior Gamma shapes after the winner beats the loser.
 
     Sum-preserving projection (see module docstring): both shapes stay
     positive, the winner's pairwise mean strictly increases, the
-    loser's decreases.
+    loser's decreases, down to :data:`SHAPE_FLOOR`.
     """
     total = winner_shape + loser_shape
     scale = total / (total + 1.0)
-    return (winner_shape + 1.0) * scale, loser_shape * scale
+    return (winner_shape + 1.0) * scale, max(loser_shape * scale, SHAPE_FLOOR)
 
 
 def ranking_loss(shapes: np.ndarray) -> float:

@@ -85,8 +85,15 @@ class FaultInjector(JudgmentOracle):
         right: np.ndarray,
         size: int,
         rng: np.random.Generator,
+        rounds: int | None = None,
     ) -> np.ndarray:
-        return self.base.draw_pairs(left, right, size, rng)
+        if rounds is None:  # a base oracle may have no block form
+            return self.base.draw_pairs(left, right, size, rng)
+        return self.base.draw_pairs(left, right, size, rng, rounds=rounds)
+
+    @property
+    def replayable(self) -> bool:
+        return self.base.replayable
 
     @property
     def supports_rating(self) -> bool:

@@ -7,8 +7,11 @@ sequential-elimination literature schedules it — every pair of the group
 races through one :class:`~repro.crowd.pool.RacingPool` in lockstep
 rounds, so each round is **one** ``draw_pairs`` call and **one**
 vectorized stopping-rule evaluation for the whole group, regardless of
-group size.  A single :meth:`CrowdSession.compare` is a group of one pair:
-there is no other comparison engine.
+group size.  Nothing happens between a group's rounds, so the pool races
+them ahead in blocks: one draw and one evaluation for several rounds, up
+to the first that resolves a pair (``RacingPool.round(ahead=True)``).  A
+single :meth:`CrowdSession.compare` is a group of one pair: there is no
+other comparison engine.
 
 :func:`plan_group` validates and dedupes the group; :func:`race_planned`
 races it and reports one record per occurrence, as the columns of a
@@ -126,7 +129,7 @@ def race_planned(
     # expires pairs at their deadline is not a round.
     pending = pool.size - len(pool.initial_decisions)
     while pending:
-        resolved = pool.round()
+        resolved = pool.round(ahead=True)
         for idx, _ in resolved:
             rounds_of[idx] = pool._rounds_done
         pending -= len(resolved)

@@ -5,8 +5,12 @@ An oracle answers pairwise-preference microtasks:
 matrix of independent worker preferences ``v(o_l, o_r)``, one row per
 pair, whose sign points at the preferred item.  It is the one sampling
 method an oracle implements; ``draw(i, j, size, rng)`` is row 0 of a
-one-pair ``draw_pairs``.  An unknown item id raises
-:class:`~repro.errors.OracleError` before any judgment is drawn
+one-pair ``draw_pairs``.  ``draw_pairs(..., rounds=K)`` draws a *block*:
+the ``(K, len(left), size)`` stack of ``K`` successive one-round calls,
+value for value and draw for draw from ``rng``.  Every oracle here takes
+it: most loop over the one-round call, and :class:`HistogramOracle` and
+:class:`UserTableOracle` draw the block in one call.  An unknown item id
+raises :class:`~repro.errors.OracleError` before any judgment is drawn
 (:class:`ItemRows` does that lookup).  The concrete oracles reproduce
 exactly the simulation rules of §6.1:
 
@@ -55,6 +59,13 @@ class JudgmentOracle(ABC):
     #: when unbounded.  The Hoeffding tester needs a bounded support.
     bounds: tuple[float, float] | None = None
 
+    #: Whether ``draw_pairs`` takes ``rounds=`` and a draw's only effect is
+    #: on the generator it draws from (no log, counter or other state).
+    #: A racing pool then may draw rounds ahead, set the generator back
+    #: and draw again only the rounds it keeps
+    #: (:meth:`~repro.crowd.pool.RacingPool.round`).
+    replayable = False
+
     @abstractmethod
     def draw_pairs(
         self,
@@ -62,13 +73,30 @@ class JudgmentOracle(ABC):
         right: np.ndarray,
         size: int,
         rng: np.random.Generator,
+        rounds: int | None = None,
     ) -> np.ndarray:
         """Draw a ``(len(left), size)`` matrix of preferences, one row per
         pair ``(left[r], right[r])``; positive favours the left item.
 
-        An unknown item id raises :class:`OracleError` before any of
-        ``rng`` is drawn.
+        With ``rounds=K`` draw the ``(K, len(left), size)`` stack of ``K``
+        such matrices, equal to ``K`` successive calls and leaving ``rng``
+        in the same state.  An unknown item id raises
+        :class:`OracleError` before any of ``rng`` is drawn.
         """
+
+    def _looped_rounds(
+        self,
+        left: np.ndarray,
+        right: np.ndarray,
+        size: int,
+        rng: np.random.Generator,
+        rounds: int,
+    ) -> np.ndarray:
+        """The block form of :meth:`draw_pairs` as ``rounds`` one-round
+        calls, stacked."""
+        return np.stack(
+            [self.draw_pairs(left, right, size, rng) for _ in range(rounds)]
+        )
 
     def draw(self, i: int, j: int, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` preferences ``v(o_i, o_j)``; positive favours ``o_i``.
@@ -164,13 +192,21 @@ class LatentScoreOracle(JudgmentOracle):
         self._scores = np.asarray(list(scores.values()), dtype=np.float64)
         self._noise = noise if noise is not None else GaussianNoise(1.0)
 
+    @property
+    def replayable(self) -> bool:
+        # Careless-worker noise counts what it draws into the registry.
+        return type(self._noise) is GaussianNoise
+
     def draw_pairs(
         self,
         left: np.ndarray,
         right: np.ndarray,
         size: int,
         rng: np.random.Generator,
+        rounds: int | None = None,
     ) -> np.ndarray:
+        if rounds is not None:
+            return self._looped_rounds(left, right, size, rng, rounds)
         scores = self._scores[self._items.pairs(left, right)]
         m = len(scores) // 2
         gaps = (scores[:m] - scores[m:])[:, None]
@@ -197,6 +233,8 @@ class HistogramOracle(JudgmentOracle):
     ``support``.  A microtask samples one rating per item independently and
     answers their difference, exactly the simulation of §3.2/§6.1.
     """
+
+    replayable = True
 
     def __init__(self, support: np.ndarray, pmf_by_item: Mapping[int, np.ndarray]) -> None:
         support = np.asarray(support, dtype=np.float64)
@@ -243,7 +281,8 @@ class HistogramOracle(JudgmentOracle):
 
     def _rating_indices(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Support indices of the uniforms ``u``, shape ``(sides, lanes,
-        size)``, under the CDFs of ``rows``, shape ``(sides, lanes)``.
+        size)`` or a ``(rounds, sides, lanes, size)`` block of them, under
+        the CDFs of ``rows``, shape ``(sides, lanes)``.
 
         The index of a uniform is the number of its row's CDF points
         below it.  Lane ``l`` of each side shifts its points and its
@@ -255,13 +294,16 @@ class HistogramOracle(JudgmentOracle):
         lanes above it.  Counting along the leading support axis reads
         each point once per uniform instead of binary-searching the
         flattened array.  A row's last point, ``1 + 2·l``, is never below
-        a shifted uniform, so it is not stored.  ``u`` is shifted in
+        a shifted uniform, so it is not stored.  Every round compares
+        its uniforms with the same shifted points.  ``u`` is shifted in
         place.
         """
-        shift = 2.0 * np.arange(u.shape[1])[:, None]
+        shift = 2.0 * np.arange(u.shape[-2])[:, None]
         u += shift
         points = self._points[:, rows][..., None]
         points += shift
+        if u.ndim == 4:
+            points = points[:, None]
         return (points < u).sum(axis=0)
 
     def _sample_ratings(
@@ -278,17 +320,22 @@ class HistogramOracle(JudgmentOracle):
         right: np.ndarray,
         size: int,
         rng: np.random.Generator,
+        rounds: int | None = None,
     ) -> np.ndarray:
         rows = self._items.pairs(left, right)
         # One uniform call for both sides yields the same stream as
-        # sampling the left rows and then the right rows.  Each side keeps
-        # its own lanes, shifted from 0: the shifted sums round
+        # sampling the left rows and then the right rows, and one call
+        # for a block the same stream as a call per round.  Each side
+        # keeps its own lanes, shifted from 0: the shifted sums round
         # differently at larger shifts, so every index matches.
         m = len(rows) // 2
-        u = rng.random((2 * m, size)).reshape(2, m, size)
+        if rounds is None:
+            u = rng.random((2 * m, size)).reshape(2, m, size)
+        else:
+            u = rng.random((rounds, 2 * m, size)).reshape(rounds, 2, m, size)
         idx = self._rating_indices(rows.reshape(2, m), u)
         support = self._support
-        return support[idx[0]] - support[idx[1]]
+        return support[idx[..., 0, :, :]] - support[idx[..., 1, :, :]]
 
     @property
     def supports_rating(self) -> bool:
@@ -306,6 +353,8 @@ class UserTableOracle(JudgmentOracle):
     her ratings for the two items, so judgments are *within-user* paired
     differences exactly as in §6.1.
     """
+
+    replayable = True
 
     def __init__(self, ratings: np.ndarray, item_ids: np.ndarray | None = None) -> None:
         ratings = np.asarray(ratings, dtype=np.float64)
@@ -338,11 +387,13 @@ class UserTableOracle(JudgmentOracle):
         right: np.ndarray,
         size: int,
         rng: np.random.Generator,
+        rounds: int | None = None,
     ) -> np.ndarray:
         # Row 0 holds the left items' columns, row 1 the right items'.
         cols = self._items.pairs(left, right).reshape(2, -1, 1)
         ratings = self._ratings
-        users = rng.integers(0, ratings.shape[0], size=(cols.shape[1], size))
+        shape = (cols.shape[1], size) if rounds is None else (rounds, cols.shape[1], size)
+        users = rng.integers(0, ratings.shape[0], size=shape)
         return ratings[users, cols[0]] - ratings[users, cols[1]]
 
     @property
@@ -363,6 +414,8 @@ class RecordDatabaseOracle(JudgmentOracle):
     Internally records are packed into a flat array with per-pair offsets so
     batched sampling stays vectorized.
     """
+
+    replayable = True
 
     def __init__(self, records: Mapping[tuple[int, int], np.ndarray]) -> None:
         if not records:
@@ -410,7 +463,10 @@ class RecordDatabaseOracle(JudgmentOracle):
         right: np.ndarray,
         size: int,
         rng: np.random.Generator,
+        rounds: int | None = None,
     ) -> np.ndarray:
+        if rounds is not None:
+            return self._looped_rounds(left, right, size, rng, rounds)
         slots = [self._slot(int(i), int(j)) for i, j in zip(left, right)]
         starts = np.asarray([s[0] for s in slots])
         counts = np.asarray([s[1] for s in slots])
@@ -455,7 +511,10 @@ class BinaryOracle(JudgmentOracle):
         right: np.ndarray,
         size: int,
         rng: np.random.Generator,
+        rounds: int | None = None,
     ) -> np.ndarray:
+        if rounds is not None:
+            return self._looped_rounds(left, right, size, rng, rounds)
         out = np.sign(self._base.draw_pairs(left, right, size, rng))
         for _ in range(self.MAX_REDRAWS):
             rows, cols = np.nonzero(out == 0)

@@ -5,7 +5,10 @@ preference-based racing baseline — advance *many* pairs by one batch of
 microtasks per round, harvesting whichever verdicts become available.  A
 :class:`RacingPool` runs that schedule with fully vectorized stopping-rule
 evaluation: one oracle call and one ``decision_codes`` call per round,
-regardless of how many pairs are racing.
+regardless of how many pairs are racing.  A caller that does nothing
+between rounds (a comparison group) lets the pool race a block of rounds
+per call, still one oracle call and one ``decision_codes`` call
+(:meth:`RacingPool.round`).
 
 Each pair follows the comparison process of Algorithm 1 — the stopping
 rule is checked after every sample, costs are charged only for consumed
@@ -51,6 +54,12 @@ DEACTIVATED = 3
 #: 0, 1, 2, ...: rounds slice their row and column indices from it
 #: instead of building aranges (:func:`_index` grows it).
 _INDEX = np.arange(1024, dtype=np.int64)
+
+
+#: Most judgment cells (rounds × pairs × width) one block of rounds draws
+#: and decides (see RacingPool._block_rounds and docs/performance.md,
+#: "Racing in blocks").
+BLOCK_CELLS = 1024
 
 
 def _index(size: int) -> np.ndarray:
@@ -141,6 +150,7 @@ class RacingPool:
         # actually injects faults; the fault-free path below stays
         # byte-identical) are resolved once per session and config.
         self._tester, self._injector = session._racing_kit(config)
+        self._replayable = session.oracle.replayable
         self._budget = config.effective_budget
         self._telemetry = session.telemetry
 
@@ -164,6 +174,8 @@ class RacingPool:
         self._failures = np.zeros(count, dtype=np.int64)
         self._eligible_round = np.zeros(count, dtype=np.int64)
         self._rounds_done = 0
+        # Rounds raced that resolved no pair (_block_rounds).
+        self._quiet = 0
         # Counter handles, shared by the session's pools: creation stays
         # on first increment (an untouched family must not appear in
         # snapshots), but repeat uses skip the registry's lookup.
@@ -377,7 +389,35 @@ class RacingPool:
                        self._budget, step, int(self._rounds_done))
 
     # ------------------------------------------------------------------
-    def round(self, step: int | None = None) -> list[tuple[int, int]]:
+    def _block_rounds(self, pairs: int, step: int, remaining: np.ndarray) -> int:
+        """How many lockstep rounds of ``pairs`` active pairs and width
+        ``step`` the next call may race in one block.
+
+        Two more than twice the rounds the pool has raced without
+        resolving a pair (a fresh pool races two at once, and the block
+        grows while rounds keep resolving nothing), no more than
+        :data:`BLOCK_CELLS` judgment cells, and none past the round where
+        a pair would reach the per-pair budget or the pool its
+        ``deadline_rounds``: every round of a block then races the same
+        pairs at the same width, each pair consuming all of it.  Only a
+        replayable oracle (see :attr:`JudgmentOracle.replayable`) is
+        drawn ahead, and a Stein pool, whose stage variances change
+        mid-block, races one round at a time.
+        """
+        if self._stein or not self._replayable:
+            return 1
+        rounds = min(
+            2 * self._quiet + 2,
+            BLOCK_CELLS // (pairs * step),
+            int(np.minimum.reduce(remaining)) // step,
+        )
+        if self._deadline is not None:
+            rounds = min(rounds, self._deadline - self._rounds_done)
+        return max(rounds, 1)
+
+    def round(
+        self, step: int | None = None, *, ahead: bool = False
+    ) -> list[tuple[int, int]]:
         """Advance every active pair by up to one batch of microtasks.
 
         Returns the newly resolved pairs as ``(pair_index, code)`` with
@@ -385,6 +425,17 @@ class RacingPool:
         per-pair budget ran out undecided, or the pair degraded under the
         retry policy).  Charges the session for the consumed microtasks
         and, if configured, one latency round.
+
+        ``ahead`` says the caller does nothing between rounds but call
+        again, as a comparison group racing to its end does.  The call
+        may then race the active pairs for a *block* of lockstep rounds
+        (:meth:`_block_rounds`), up to and including the first round that
+        resolves a pair: one draw of every round, one stopping-rule pass,
+        then each round's cache write, charge, counters and event in
+        round order, exactly as one call per round makes them.  The
+        session's generator is set back and the kept rounds drawn again,
+        so it stands where those calls leave it, also when a round's
+        charge raises.
         """
         if self._injector is not None:
             return self._faulty_round(step)
@@ -396,6 +447,7 @@ class RacingPool:
         step = self.config.batch_size if step is None else int(step)
         if step < 1:
             raise ValueError(f"step must be >= 1, got {step}")
+        raced = self._rounds_done
         self._rounds_done += 1
 
         take = _rows(active, self.status.size)
@@ -404,81 +456,134 @@ class RacingPool:
         # Never draw wider than any pair can still consume: active pairs
         # have n < budget, so the clamp keeps step >= 1.
         step = min(step, int(np.maximum.reduce(remaining)))
-        draw = self.session.oracle.draw_pairs(
-            self.left[take], self.right[take], step, self.session.rng
-        )
+        rounds = self._block_rounds(active.size, step, remaining) if ahead else 1
+        left, right = self.left[take], self.right[take]
+        oracle, rng = self.session.oracle, self.session.rng
         resolved: list[tuple[int, int]] = []
-        consumed_total, budget_ties = self._commit_round(
-            active, n0, draw, np.minimum(step, remaining), resolved
-        )
-        self.session.charge_many(
-            consumed_total, rounds=1 if self.charge_latency else 0
-        )
-        handles = self._round_counters
-        if handles is None:
-            handles = self._round_counters = (
-                self._counter("crowd_pool_rounds_total"),
-                self._counter("oracle_judgments_total"),
+        if rounds == 1:
+            draw = oracle.draw_pairs(left, right, step, rng)
+            self._commit_rounds(
+                active, n0, draw, np.minimum(step, remaining), resolved
             )
-        handles[0].inc()
-        handles[1].add(draw.size)
-        if budget_ties:
-            self._counter("crowd_budget_ties_total").add(budget_ties)
-        if self._telemetry.has_listeners:
-            self._emit_round(active.size, consumed_total, resolved, budget_ties)
+            return resolved
+        state = rng.bit_generator.state
+        draw = oracle.draw_pairs(left, right, step, rng, rounds=rounds)
+        try:
+            self._commit_rounds(active, n0, draw, step, resolved)
+        finally:
+            kept = self._rounds_done - raced
+            if kept < rounds:
+                rng.bit_generator.state = state
+                oracle.draw_pairs(left, right, step, rng, rounds=kept)
         return resolved
 
-    def _commit_round(
+    def _commit_rounds(
         self,
         sub: np.ndarray,
         n0: np.ndarray,
         values: np.ndarray,
-        reach: np.ndarray,
+        reach: "np.ndarray | int",
         resolved: list[tuple[int, int]],
-    ) -> tuple[int, int]:
-        """Decide one drawn round and commit moments, statuses and cache.
+        *,
+        faulty: bool = False,
+    ) -> None:
+        """Decide a block of drawn rounds and commit them in round order.
 
-        One code path serves both the fault-free and the faulty round
-        (the fault path compacts its delivered answers into the same
-        ``(rows × width)`` shape first), so the two cannot drift.
-        ``n0`` is the rows' sample counts before the round, and ``reach``
-        each row's consumable sample count (at least 1).  ``resolved`` is
-        extended in place — decided rows first, budget-exhausted ties
-        after, both in row order, exactly the historical per-row emission
-        order.  Returns the consumed microtasks and the number of
-        budget-exhausted ties.
+        ``values`` is what a ``(rounds, rows, width)`` block of rounds, or
+        one ``(rows, width)`` round, drew for the rows ``sub`` of the
+        pool, whose sample counts before it are ``n0``.  ``reach`` is each
+        row's consumable sample count per round (at least 1); a block of
+        more than one round is only raced where every row can consume its
+        whole width in every round (:meth:`_block_rounds`).  One code
+        path serves every call: a one-round call is a block of one, and
+        the fault path compacts its delivered answers into the same
+        shape first, so none of them can drift.
+
+        Round ``r``'s running sums are the end of round ``r - 1`` plus
+        its own cumulative sums, the grouping one call per round makes,
+        and one stopping-rule pass decides every cell of the block.  The
+        block is committed up to and including its first round that
+        resolves a pair; before it, every row consumed its whole width.
+        Each committed round bumps the round count (the first was counted
+        by the caller), queues its cache write, then charges and counts
+        itself (:meth:`_settle_round`); a charge that raises leaves the
+        pool's moments at the end of its round.  ``resolved`` is
+        extended in place with the last round's resolutions — decided
+        rows first, budget-exhausted ties after, both in row order,
+        exactly the historical per-row emission order.
         """
-        rows, width = values.shape
-        index = _index(rows + width + 1)
+        block = values.ndim == 3
+        rows, width = values.shape[-2:]
+        index = _index(len(values) + rows + width + 1)
         take = _rows(sub, self.status.size)
-        n_mat = n0[:, None] + index[1 : width + 1]
-        s1_mat = self.s1[take][:, None] + np.add.accumulate(values, axis=1)
-        s2_mat = self.s2[take][:, None] + np.add.accumulate(np.square(values), axis=1)
-        if self._stein:
+        s1 = np.add.accumulate(values, axis=-1)
+        s2 = np.add.accumulate(np.square(values), axis=-1)
+        n_start, s1_start, s2_start = n0, self.s1[take], self.s2[take]
+        if block:
+            # Each round starts where the last one ended: one sequential
+            # sum down the rounds chains the ends in round order.
+            n_start = n0 + (index[: len(values)] * width)[:, None]
+            s1_start = np.add.accumulate(
+                np.concatenate((s1_start[None], s1[:-1, :, -1])), axis=0
+            )
+            s2_start = np.add.accumulate(
+                np.concatenate((s2_start[None], s2[:-1, :, -1])), axis=0
+            )
+        n_mat = n_start[..., None] + index[1 : width + 1]
+        s1 += s1_start[..., None]
+        s2 += s2_start[..., None]
+        if self._stein:  # never a block (see _block_rounds)
             stage_var = self._stage_var[take]
-            codes = self._stein_codes(n0, stage_var, n_mat, s1_mat, s2_mat, reach)
+            codes = self._stein_codes(n0, stage_var, n_mat, s1, s2, reach)
             self._stage_var[take] = stage_var
         else:
-            codes = self._tester.decision_codes(n_mat, s1_mat / n_mat, s2_mat)
+            codes = self._tester.decision_codes(n_mat, s1 / n_mat, s2)
 
         # A cell can decide once its pair has the cold-start workload.  The
         # extra last column is a sentinel, so a row's first deciding cell
         # is its argmax, and the row decides when that cell is within the
         # row's reach.
-        has_decision = np.empty((rows, width + 1), dtype=bool)
-        has_decision[:, width] = True
-        cells = has_decision[:, :width]
+        has_decision = np.empty(values.shape[:-1] + (width + 1,), dtype=bool)
+        has_decision[..., width] = True
+        cells = has_decision[..., :width]
         np.not_equal(codes, 0, out=cells)
         cells &= n_mat >= self.config.min_workload
-        first = has_decision.argmax(axis=1)
+        first = has_decision.argmax(axis=-1)
         decided = first < reach
+
+        left, right = self.left[take], self.right[take]
+        slots = self._slots[take] if self.use_cache else None
+        if block:
+            any_decided = decided.any(axis=1)
+            r = int(any_decided.argmax()) if any_decided.any() else len(values) - 1
+            full = np.full(rows, width, dtype=np.int64) if r else None
+            for quiet in range(r):  # the rounds before resolve nothing
+                if quiet:
+                    self._rounds_done += 1
+                self._quiet += 1
+                if slots is not None:
+                    self._cache.defer_rows(
+                        left, right, values[quiet], full, slots=slots
+                    )
+                try:
+                    self._settle_round(rows, width, rows * width, [], 0, faulty)
+                except BaseException:
+                    self.n[take] = n_start[quiet + 1]
+                    self.s1[take] = s1_start[quiet + 1]
+                    self.s2[take] = s2_start[quiet + 1]
+                    raise
+            if r:
+                self._rounds_done += 1
+            values, n_start, s1, s2 = values[r], n_start[r], s1[r], s2[r]
+            first, decided, codes = first[r], decided[r], codes[r]
+
         consumed = np.minimum(first + 1, reach)
         row_idx = index[:rows]
         last = consumed - 1
-        new_n = n0 + consumed
+        new_n = n_start + consumed
         self.n[take] = new_n
-        self.s1[take] = s1_mat[row_idx, last]
-        self.s2[take] = s2_mat[row_idx, last]
+        self.s1[take] = s1[row_idx, last]
+        self.s2[take] = s2[row_idx, last]
 
         decided_idx = sub[decided]
         if decided_idx.size:
@@ -493,18 +598,47 @@ class RacingPool:
             if budget_ties:
                 self.status[exhausted_idx] = TIE
                 resolved.extend((idx, 0) for idx in exhausted_idx.tolist())
-        if self.use_cache:
+        if not resolved:
+            self._quiet += 1
+        if slots is not None:
             # The round's only cache cost is queueing the batch; the bags
             # absorb all queued rounds in one width-grouped pass the next
             # time anything reads the cache (JudgmentCache.defer_rows).
-            self._cache.defer_rows(
-                self.left[take],
-                self.right[take],
-                values,
-                consumed,
-                slots=self._slots[take],
+            self._cache.defer_rows(left, right, values, consumed, slots=slots)
+        self._settle_round(
+            rows, width, int(np.add.reduce(consumed)), resolved, budget_ties, faulty
+        )
+
+    def _settle_round(
+        self,
+        pairs: int,
+        width: int,
+        consumed_total: int,
+        resolved: list[tuple[int, int]],
+        budget_ties: int,
+        faulty: bool,
+    ) -> None:
+        """Charge and count one committed round of ``pairs`` rows drawn
+        ``width`` wide.  A faulty round billed its latency round and
+        counted itself and its draw before drawing."""
+        if faulty:
+            self.session.charge_many(consumed_total)
+        else:
+            self.session.charge_many(
+                consumed_total, rounds=1 if self.charge_latency else 0
             )
-        return int(np.add.reduce(consumed)), budget_ties
+            handles = self._round_counters
+            if handles is None:
+                handles = self._round_counters = (
+                    self._counter("crowd_pool_rounds_total"),
+                    self._counter("oracle_judgments_total"),
+                )
+            handles[0].inc()
+            handles[1].add(pairs * width)
+        if budget_ties:
+            self._counter("crowd_budget_ties_total").add(budget_ties)
+        if self._telemetry.has_listeners:
+            self._emit_round(pairs, consumed_total, resolved, budget_ties)
 
     def _emit_round(
         self,
@@ -724,19 +858,12 @@ class RacingPool:
             values = np.where(valid, values, 0.0)
             reach = np.minimum(counts_got, remaining[got])
 
-        consumed_total, budget_ties = self._commit_round(
-            sub, self.n[sub], values, reach, resolved
-        )
-        self.session.charge_many(consumed_total)
-        if budget_ties:
-            self._counter("crowd_budget_ties_total").add(budget_ties)
-        if self._telemetry.has_listeners:
-            self._emit_round(sub.size, consumed_total, resolved, budget_ties)
+        self._commit_rounds(sub, self.n[sub], values, reach, resolved, faulty=True)
         return resolved
 
     def run_to_completion(self, step: int | None = None) -> list[tuple[int, int]]:
         """Race until every pair resolves; returns all resolutions in order."""
         resolved = list(self.initial_decisions)
         while not self.is_done:
-            resolved.extend(self.round(step))
+            resolved.extend(self.round(step, ahead=True))
         return resolved

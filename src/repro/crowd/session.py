@@ -295,8 +295,8 @@ class CrowdSession:
 
         The whole group advances through one vectorized
         :class:`~repro.crowd.pool.RacingPool` — one oracle call and one
-        stopping-rule evaluation per lockstep round, no per-pair Python
-        loop.  It is charged only the microtasks its pairs consume and
+        stopping-rule evaluation per lockstep round, or per block of
+        rounds raced ahead, and no per-pair Python loop.  It is charged only the microtasks its pairs consume and
         billed the ``max`` of its members' rounds; see
         docs/performance.md.  The records come back as the columns of a
         :class:`~repro.core.comparison.GroupRecords`, in input order.

@@ -210,7 +210,10 @@ class WorkforceOracle(JudgmentOracle):
         right: np.ndarray,
         size: int,
         rng: np.random.Generator,
+        rounds: int | None = None,
     ) -> np.ndarray:
+        if rounds is not None:
+            return self._looped_rounds(left, right, size, rng, rounds)
         raw = self._base.draw_pairs(left, right, size, rng)
         picks = rng.integers(0, len(self.workforce), size=raw.shape)
         values = self._transform(raw, picks, rng)

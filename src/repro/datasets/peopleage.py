@@ -28,6 +28,8 @@ __all__ = ["make_peopleage", "AgePerceptionOracle"]
 class AgePerceptionOracle(JudgmentOracle):
     """Pairwise age comparisons with age-proportional perception noise."""
 
+    replayable = True
+
     def __init__(
         self,
         ages: np.ndarray,
@@ -66,7 +68,10 @@ class AgePerceptionOracle(JudgmentOracle):
         right: np.ndarray,
         size: int,
         rng: np.random.Generator,
+        rounds: int | None = None,
     ) -> np.ndarray:
+        if rounds is not None:
+            return self._looped_rounds(left, right, size, rng, rounds)
         # Row 0 holds the left items' ages, row 1 the right items'.
         ages = self._ages[self._items.pairs(left, right)].reshape(2, -1, 1)
         shape = (ages.shape[1], size)

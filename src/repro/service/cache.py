@@ -313,7 +313,9 @@ class SharedJudgmentCache:
             self._lru.move_to_end(entry)
 
     def _account(self, cache: TenantCache, slots: list[int]) -> None:
-        """Refresh sizes/recency for freshly written ``slots``, then evict."""
+        """Refresh sizes/recency for freshly written ``slots``, in write
+        order, then evict down to the bounds (a drain's earlier slots
+        included: see :meth:`_evict_over_bounds`)."""
         lru = self._lru
         sizes = cache._n
         for slot in slots:
@@ -322,7 +324,7 @@ class SharedJudgmentCache:
             self._bytes += new_bytes - lru.get(entry, 0)
             lru[entry] = new_bytes
             lru.move_to_end(entry)
-        self._evict_over_bounds(protect=len(slots))
+        self._evict_over_bounds()
 
     def _over_bounds(self) -> bool:
         if self.max_entries is not None and len(self._lru) > self.max_entries:
@@ -331,17 +333,20 @@ class SharedJudgmentCache:
             return True
         return False
 
-    def _evict_over_bounds(self, protect: int = 0) -> None:
+    def _evict_over_bounds(self) -> None:
         """Pop least-recently-used pairs until back under both bounds.
 
-        ``protect`` entries at the hot end of the LRU (the ones the
-        current write just touched) are never evicted — a single
-        over-sized write may transiently exceed the bounds rather than
-        evict its own in-flight evidence.
+        The hot end of the LRU, the bag the write touched last, is never
+        evicted: one bag larger than the byte bound stays, transiently
+        over it, rather than be emptied by its own write.  Every other
+        bag may go, a drain's earlier bags too, so a drain folding more
+        distinct pairs than ``max_entries`` still ends within the bound.
+        Those judgments are bought and folded already; a racing pool
+        that writes an evicted pair again starts a fresh bag.
         """
         lru = self._lru
         evicted: set[TenantCache] = set()
-        while self._over_bounds() and len(lru) > protect:
+        while self._over_bounds() and len(lru) > 1:
             (cache, slot), accounted = lru.popitem(last=False)
             self._bytes -= accounted
             if cache._evict(slot):

@@ -16,7 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.algorithms.bdp import MAX_ITEMS, BDPRanker, bdp_topk, resume_bdp_topk
+from repro.algorithms.bdp import (
+    MAX_ITEMS,
+    BDPRanker,
+    LookaheadMemo,
+    bdp_topk,
+    moment_match,
+    resume_bdp_topk,
+    score_pairs,
+)
 from repro.config import ComparisonConfig, ResiliencePolicy
 from repro.core.stopping import (
     ConfidenceStopping,
@@ -105,6 +113,27 @@ class TestDeterminism:
     def test_knob_validation(self, kwargs):
         with pytest.raises(AlgorithmError):
             BDPRanker(**kwargs)
+
+
+class TestLosingStreak:
+    def test_shapes_and_scores_stay_finite_down_a_losing_chain(self):
+        """Each item keeps losing to the one above it, so every loser's
+        winner is weak too and the losers' shapes shrink geometrically;
+        unfloored, the bottom shapes underflow to 0.0 within 40 rounds
+        and the scorer divides 0 by 0 for a pair of them."""
+        n = 6
+        shapes = np.ones(n)
+        memo = LookaheadMemo(n)
+        off_diagonal = ~np.eye(n, dtype=bool)
+        for _ in range(200):
+            for winner in range(n - 1):
+                shapes[winner], shapes[winner + 1] = moment_match(
+                    shapes[winner], shapes[winner + 1]
+                )
+            assert np.all(shapes > 0.0) and np.all(np.isfinite(shapes))
+            with np.errstate(invalid="raise", divide="raise"):
+                scores = score_pairs(shapes, memo=memo)
+            assert np.all(np.isfinite(scores[off_diagonal]))
 
 
 class TestStoppingRules:

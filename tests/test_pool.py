@@ -234,7 +234,7 @@ class TestProgressSnapshot:
 
 
 class TestCommitMasks:
-    """``_commit_round`` folds the cold-start mask (n < I) and the reach
+    """``_commit_rounds`` folds the cold-start mask (n < I) and the reach
     mask (columns a row cannot consume) into one first-decision search;
     it must agree with applying the two masks to the codes explicitly."""
 
@@ -297,7 +297,10 @@ class TestCommitMasks:
 
         resolved: list = []
         sub = np.arange(5)
-        consumed, ties = pool._commit_round(sub, n0.copy(), values, reach, resolved)
+        ties_before = pool._telemetry.counter_value("crowd_budget_ties_total")
+        pool._commit_rounds(sub, n0.copy(), values, reach, resolved)
+        consumed = session.total_cost
+        ties = pool._telemetry.counter_value("crowd_budget_ties_total") - ties_before
 
         assert consumed == sum(row[0] for row in expected)
         assert [row[0] for row in expected] == [5, 3, 7, 3, 8]

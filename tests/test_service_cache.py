@@ -198,6 +198,23 @@ class TestLruEviction:
         assert cache.bytes <= 2_000
         assert cache.entries < 40
 
+    def test_a_drain_wider_than_the_bound_evicts_down_to_it(self):
+        """One write-behind batch of 12 new pairs folds 12 slots at once;
+        the drain must still leave the cache within ``max_entries``,
+        keeping the pairs it wrote last."""
+        cache = shared(max_entries=8)
+        namespace = cache.tenant("a")
+        lefts = np.arange(12, dtype=np.int64)
+        rights = lefts + 1000
+        slots = namespace.slot_ids(lefts, rights)
+        values = np.arange(12 * 3, dtype=np.float64).reshape(12, 3)
+        namespace.defer_rows(lefts, rights, values, np.full(12, 3), slots=slots)
+        namespace.settle()
+        assert cache.entries == 8
+        assert sorted(namespace.pairs()) == [(n, n + 1000) for n in range(4, 12)]
+        np.testing.assert_array_equal(namespace.bag(11, 1011), values[11])
+        assert cache.stats()["tenants"]["a"]["evictions"] == 4
+
     def test_eviction_crosses_tenants_by_recency(self):
         cache = shared(max_entries=2)
         self._fill(cache, "old", 2)
