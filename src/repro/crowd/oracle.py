@@ -9,8 +9,9 @@ one-pair ``draw_pairs``.  ``draw_pairs(..., rounds=K)`` draws a *block*:
 the ``(K, len(left), size)`` stack of ``K`` successive one-round calls,
 value for value and draw for draw from ``rng``.  Every oracle here takes
 it: most loop over the one-round call, and :class:`HistogramOracle` and
-:class:`UserTableOracle` draw the block in one call.  An unknown item id
-raises :class:`~repro.errors.OracleError` before any judgment is drawn
+:class:`UserTableOracle` draw the block in one call.  Only those two are
+``replayable``, so a racing pool draws rounds ahead only from them.  An
+unknown item id raises :class:`~repro.errors.OracleError` before any judgment is drawn
 (:class:`ItemRows` does that lookup).  The concrete oracles reproduce
 exactly the simulation rules of §6.1:
 
@@ -59,11 +60,13 @@ class JudgmentOracle(ABC):
     #: when unbounded.  The Hoeffding tester needs a bounded support.
     bounds: tuple[float, float] | None = None
 
-    #: Whether ``draw_pairs`` takes ``rounds=`` and a draw's only effect is
-    #: on the generator it draws from (no log, counter or other state).
-    #: A racing pool then may draw rounds ahead, set the generator back
-    #: and draw again only the rounds it keeps
-    #: (:meth:`~repro.crowd.pool.RacingPool.round`).
+    #: Whether ``draw_pairs`` draws a ``rounds=`` block in one call and a
+    #: draw's only effect is on the generator it draws from (no log,
+    #: counter or other state).  A racing pool then may draw rounds
+    #: ahead, set the generator back and draw again only the rounds it
+    #: keeps (:meth:`~repro.crowd.pool.RacingPool.round`).  A block drawn
+    #: by looping over one-round calls pays a whole call per speculative
+    #: round, so such an oracle stays ``False``.
     replayable = False
 
     @abstractmethod
@@ -191,11 +194,6 @@ class LatentScoreOracle(JudgmentOracle):
         self._items = ItemRows(list(scores))
         self._scores = np.asarray(list(scores.values()), dtype=np.float64)
         self._noise = noise if noise is not None else GaussianNoise(1.0)
-
-    @property
-    def replayable(self) -> bool:
-        # Careless-worker noise counts what it draws into the registry.
-        return type(self._noise) is GaussianNoise
 
     def draw_pairs(
         self,
@@ -414,8 +412,6 @@ class RecordDatabaseOracle(JudgmentOracle):
     Internally records are packed into a flat array with per-pair offsets so
     batched sampling stays vectorized.
     """
-
-    replayable = True
 
     def __init__(self, records: Mapping[tuple[int, int], np.ndarray]) -> None:
         if not records:

@@ -412,7 +412,8 @@ class RacingPool:
             int(np.minimum.reduce(remaining)) // step,
         )
         if self._deadline is not None:
-            rounds = min(rounds, self._deadline - self._rounds_done)
+            # The caller has already counted this call's first round.
+            rounds = min(rounds, self._deadline - self._rounds_done + 1)
         return max(rounds, 1)
 
     def round(

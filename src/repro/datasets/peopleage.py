@@ -28,8 +28,6 @@ __all__ = ["make_peopleage", "AgePerceptionOracle"]
 class AgePerceptionOracle(JudgmentOracle):
     """Pairwise age comparisons with age-proportional perception noise."""
 
-    replayable = True
-
     def __init__(
         self,
         ages: np.ndarray,

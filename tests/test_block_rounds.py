@@ -28,6 +28,7 @@ from repro.crowd.oracle import (
 from repro.crowd.pool import RacingPool
 from repro.crowd.session import CrowdSession
 from repro.crowd.workers import CarelessWorkerNoise, GaussianNoise
+from repro.datasets.peopleage import AgePerceptionOracle
 from repro.errors import BudgetExhaustedError
 from repro.telemetry import MetricsRegistry
 from tests.test_dataset_parity import cache_digest, metric_digest
@@ -76,6 +77,10 @@ ORACLES = {
         list(range(N_ITEMS)),
     ),
     "record_database": (_records, list(range(N_ITEMS))),
+    "age_perception": (
+        lambda: AgePerceptionOracle(np.linspace(18.0, 60.0, N_ITEMS)),
+        list(range(N_ITEMS)),
+    ),
     "zero_fault_injector": (
         lambda: FaultInjector(LatentScoreOracle(SCORES), FaultPolicy()),
         list(range(N_ITEMS)),
@@ -118,7 +123,7 @@ def _session(
     max_total_cost: int | None = None,
     **config,
 ) -> CrowdSession:
-    """Close latent scores race many rounds of a narrow batch."""
+    """Close user ratings race many rounds of a narrow batch."""
     settings = dict(
         confidence=0.95,
         budget=240,
@@ -128,7 +133,10 @@ def _session(
     )
     settings.update(config)
     if oracle is None:
-        oracle = LatentScoreOracle(np.linspace(0.0, 0.9, 12), GaussianNoise(2.0))
+        # Only replayable oracles race ahead (JudgmentOracle.replayable).
+        ratings = np.random.default_rng(3).normal(size=(40, 12))
+        ratings -= 0.3 * ratings.mean(axis=0)  # pull the items together
+        oracle = UserTableOracle(ratings)
     return CrowdSession(
         oracle,
         ComparisonConfig(**settings),
@@ -286,7 +294,7 @@ def test_a_one_pair_group_races_ahead():
     than rounds."""
     registry = MetricsRegistry()
     session = _session(registry, resilience=ResiliencePolicy())
-    pool = RacingPool(session, [(0, 1)], charge_latency=False)
+    pool = RacingPool(session, [(2, 3)], charge_latency=False)
     calls = 0
     while not pool.is_done:
         pool.round(ahead=True)
@@ -294,3 +302,22 @@ def test_a_one_pair_group_races_ahead():
     assert pool._rounds_done >= 4
     assert calls < pool._rounds_done
     assert registry.counter_value("crowd_pool_rounds_total") == pool._rounds_done
+
+
+@pytest.mark.faultfree
+def test_a_block_reaches_the_deadline_round():
+    """A block races every round up to ``deadline_rounds``: seven rounds
+    of an undecided pair take blocks of 2 and 5 rounds, then one call
+    that expires the pair."""
+    registry = MetricsRegistry()
+    session = _session(
+        registry, resilience=ResiliencePolicy(retry=RetryPolicy(deadline_rounds=7))
+    )
+    pool = RacingPool(session, [(2, 3)], charge_latency=False)
+    blocks = []
+    while not pool.is_done:
+        before = pool._rounds_done
+        pool.round(ahead=True)
+        blocks.append(pool._rounds_done - before)
+    assert blocks == [2, 5, 0]
+    assert registry.counter_value("crowd_pool_rounds_total") == 7
